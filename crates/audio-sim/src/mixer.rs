@@ -4,7 +4,6 @@ use serde::{Deserialize, Serialize};
 use sim_math::Vec3;
 use std::collections::BTreeMap;
 
-use crate::bank::WaveBank;
 use crate::event::SoundEvent;
 use crate::source::{SoundSource, SourceId, SourceKind, Waveform};
 
@@ -45,6 +44,8 @@ pub struct Mixer {
     engine_source: Option<SourceId>,
     motor_source: Option<SourceId>,
     alarm_source: Option<SourceId>,
+    /// The last rendered block, its buffer reused by every render.
+    block: RenderedBlock,
 }
 
 impl Default for Mixer {
@@ -70,6 +71,7 @@ impl Mixer {
             engine_source: None,
             motor_source: None,
             alarm_source: None,
+            block: RenderedBlock { sample_rate, samples: Vec::new() },
         }
     }
 
@@ -175,81 +177,41 @@ impl Mixer {
         }
     }
 
-    fn attenuation(&self, source: &SoundSource) -> f64 {
-        match source.position {
-            None => 1.0,
-            Some(p) => {
-                let distance = p.distance(self.listener).max(self.reference_distance);
-                self.reference_distance / distance
-            }
-        }
-    }
-
     /// Renders `duration` seconds of mixed audio and advances every source.
-    pub fn render(&mut self, duration: f64) -> RenderedBlock {
-        self.render_with_bank(duration, None)
-    }
-
-    /// [`Mixer::render`] with an optional [`WaveBank`] shared across the
-    /// mixers of a lockstep-stepped cohort.
-    ///
-    /// Bit-identical to [`Mixer::render`]: the bank memoizes only the pure
-    /// `Waveform::sample` column of each source; the per-source gain, the
-    /// distance attenuation, the `f32` cast and the one-shot cutoff are
-    /// applied per mixer in exactly the scalar order of operations.
-    pub fn render_with_bank(
-        &mut self,
-        duration: f64,
-        mut bank: Option<&mut WaveBank>,
-    ) -> RenderedBlock {
+    /// The block is the one the mixer keeps across renders, so a steady
+    /// frame size allocates nothing.
+    pub fn render(&mut self, duration: f64) -> &RenderedBlock {
         let frames = (duration * self.sample_rate as f64).round() as usize;
         let dt = 1.0 / self.sample_rate as f64;
-        let mut samples = vec![0.0f32; frames];
-        for (_, source) in self.sources.iter_mut() {
-            let gain = match source.position {
-                None => 1.0,
-                Some(p) => {
-                    let distance = p.distance(self.listener).max(self.reference_distance);
-                    self.reference_distance / distance
-                }
-            };
-            match bank.as_deref_mut() {
-                Some(bank) => {
-                    // The column is `waveform.sample(age + i*dt)` with the
-                    // one-shot cutoff encoded in its length; what remains is
-                    // the scalar `(t_source.sample() * gain) as f32` with
-                    // `t_source.sample()` = column value times source gain.
-                    let column = bank.column(self.sample_rate, frames, dt, source);
-                    for (slot, value) in samples.iter_mut().zip(column) {
-                        *slot += ((*value * source.gain) * gain) as f32;
-                    }
-                }
-                None => {
-                    for (i, slot) in samples.iter_mut().enumerate() {
-                        let t_source = SoundSource { age: source.age + i as f64 * dt, ..*source };
-                        if t_source.finished() {
-                            break;
-                        }
-                        *slot += (t_source.sample() * gain) as f32;
-                    }
-                }
-            }
-            source.age += duration;
+        let samples = &mut self.block.samples;
+        samples.clear();
+        samples.resize(frames, 0.0);
+        for source in self.sources.values() {
+            source.mix_into(
+                dt,
+                attenuation(self.listener, self.reference_distance, source),
+                samples,
+            );
         }
-        // Drop finished one-shots.
-        self.sources.retain(|_, s| !s.finished());
+        // Advance every source and drop the one-shots that finished.
+        self.sources.retain(|_, s| {
+            s.age += duration;
+            !s.finished()
+        });
         // Soft clip.
         for s in samples.iter_mut() {
             *s = s.clamp(-1.0, 1.0);
         }
-        let _ = self.attenuation(&SoundSource {
-            kind: SourceKind::Continuous,
-            waveform: Waveform::Sine { frequency: 1.0 },
-            gain: 0.0,
-            position: None,
-            age: 0.0,
-        });
-        RenderedBlock { sample_rate: self.sample_rate, samples }
+        &self.block
+    }
+}
+
+/// The distance gain of `source` heard at `listener`: 1 for an interface
+/// sound or within `reference_distance`, falling as 1/distance beyond.
+fn attenuation(listener: Vec3, reference_distance: f64, source: &SoundSource) -> f64 {
+    match source.position {
+        None => 1.0,
+        Some(p) => reference_distance / p.distance(listener).max(reference_distance),
     }
 }
 
@@ -269,10 +231,10 @@ mod tests {
     fn background_noise_is_audible_and_continuous() {
         let mut m = Mixer::new(8_000);
         m.add_background_noise();
-        let first = m.render(0.2);
-        let later = m.render(0.2);
-        assert!(first.rms() > 0.01);
-        assert!(later.rms() > 0.01);
+        let first = m.render(0.2).rms();
+        let later = m.render(0.2).rms();
+        assert!(first > 0.01);
+        assert!(later > 0.01);
         assert_eq!(m.active_sources(), 1);
     }
 
@@ -281,10 +243,10 @@ mod tests {
         let mut m = Mixer::new(8_000);
         m.handle_event(SoundEvent::Collision { location: Vec3::ZERO, impulse: 5.0 });
         assert_eq!(m.active_sources(), 1);
-        let during = m.render(0.5);
-        assert!(during.rms() > 0.02);
-        let after = m.render(2.0);
-        assert!(after.rms() < during.rms());
+        let during = m.render(0.5).rms();
+        assert!(during > 0.02);
+        let after = m.render(2.0).rms();
+        assert!(after < during);
         assert_eq!(m.active_sources(), 0, "one-shot source must be removed when finished");
     }
 
@@ -339,63 +301,5 @@ mod tests {
     #[should_panic]
     fn zero_sample_rate_rejected() {
         let _ = Mixer::new(0);
-    }
-
-    /// A mixer with every source species the simulator produces: background
-    /// rumble, engine rumble mid-session, a positional one-shot, motor and
-    /// alarm sines.
-    fn busy_mixer() -> Mixer {
-        let mut m = Mixer::new(11_025);
-        m.add_background_noise();
-        m.set_listener(Vec3::new(1.0, 2.0, 3.0));
-        m.handle_event(SoundEvent::EngineLoad { intensity: 0.7 });
-        m.handle_event(SoundEvent::Collision { location: Vec3::new(8.0, 0.0, 2.0), impulse: 4.0 });
-        m.handle_event(SoundEvent::MotorWorking { active: true });
-        m.handle_event(SoundEvent::Alarm { active: true });
-        m
-    }
-
-    #[test]
-    fn banked_render_is_bit_identical_to_scalar_render() {
-        let mut scalar = busy_mixer();
-        let mut banked = busy_mixer();
-        let mut bank = WaveBank::new();
-        // Several frames, so one-shots expire and ages advance through the
-        // retain/clip tail exactly like the scalar path.
-        for _ in 0..24 {
-            let a = scalar.render(0.0625);
-            let b = banked.render_with_bank(0.0625, Some(&mut bank));
-            assert_eq!(a, b, "banked block diverged from scalar render");
-            bank.clear();
-        }
-        assert_eq!(scalar, banked, "mixer state diverged");
-    }
-
-    #[test]
-    fn cohort_mixers_share_columns_and_stay_bit_identical() {
-        // Four cohort members: same-aged static sources, different engine
-        // gains and listener positions — the per-mixer parts of the render.
-        let mut scalars: Vec<Mixer> = Vec::new();
-        let mut bankeds: Vec<Mixer> = Vec::new();
-        for k in 0..4 {
-            let mut m = Mixer::new(11_025);
-            m.add_background_noise();
-            m.handle_event(SoundEvent::EngineLoad { intensity: 0.2 + 0.2 * k as f64 });
-            m.set_listener(Vec3::new(k as f64, 0.0, 0.0));
-            scalars.push(m.clone());
-            bankeds.push(m);
-        }
-        let mut bank = WaveBank::new();
-        for _ in 0..8 {
-            for (scalar, banked) in scalars.iter_mut().zip(bankeds.iter_mut()) {
-                let a = scalar.render(0.0625);
-                let b = banked.render_with_bank(0.0625, Some(&mut bank));
-                assert_eq!(a, b);
-            }
-            bank.clear();
-        }
-        // 2 sources x 8 frames computed once, then shared by 3 more mixers.
-        assert_eq!(bank.misses(), 16);
-        assert_eq!(bank.hits(), 48);
     }
 }

@@ -59,6 +59,80 @@ impl Waveform {
             }
         }
     }
+
+    /// Hands `put` each slot `i` of `out` with the value of
+    /// [`Waveform::sample`]`(age + i * dt)`, to within 2e-9 rather than bit
+    /// for bit.
+    ///
+    /// Each partial is a phasor: one `sin_cos` seeds it from the same
+    /// argument expression `sample` uses at `age`, and every further sample
+    /// rotates it by a fixed step, four multiplies instead of a `sin`. The
+    /// strike's envelope is an `exp` recurrence the same way. `step_scale`
+    /// multiplies every step: 1.0 is the kernel itself, and the accuracy
+    /// test perturbs it to prove its bound can fail.
+    fn synthesize<T>(
+        &self,
+        age: f64,
+        dt: f64,
+        step_scale: f64,
+        out: &mut [T],
+        mut put: impl FnMut(&mut T, f64),
+    ) {
+        use std::f64::consts::TAU;
+        let dt = dt * step_scale;
+        match *self {
+            Waveform::Sine { frequency } => {
+                let mut tone = Phasor::new(TAU * frequency * age, TAU * frequency * dt);
+                for slot in out {
+                    put(slot, tone.advance());
+                }
+            }
+            Waveform::Rumble { frequency } => {
+                let mut low = Phasor::new(TAU * frequency * age, TAU * frequency * dt);
+                let mut high =
+                    Phasor::new(TAU * frequency * 1.83 * age, TAU * frequency * 1.83 * dt);
+                let mut detuned =
+                    Phasor::new(TAU * frequency * 0.61 * age + 1.3, TAU * frequency * 0.61 * dt);
+                for slot in out {
+                    put(slot, 0.5 * low.advance() + 0.3 * high.advance() + 0.2 * detuned.advance());
+                }
+            }
+            Waveform::Strike { frequency, decay } => {
+                let mut tone = Phasor::new(TAU * frequency * age, TAU * frequency * dt);
+                let mut envelope = (-decay * age).exp();
+                let fall = (-decay * dt).exp();
+                for slot in out {
+                    put(slot, tone.advance() * envelope);
+                    envelope *= fall;
+                }
+            }
+        }
+    }
+}
+
+/// A complex-rotation oscillator: `(sin, cos)` of a phase that advances by
+/// a fixed step per sample.
+struct Phasor {
+    sin: f64,
+    cos: f64,
+    step_sin: f64,
+    step_cos: f64,
+}
+
+impl Phasor {
+    fn new(phase: f64, step: f64) -> Phasor {
+        let (sin, cos) = phase.sin_cos();
+        let (step_sin, step_cos) = step.sin_cos();
+        Phasor { sin, cos, step_sin, step_cos }
+    }
+
+    /// The sine of the current phase; then the phase moves one step on.
+    fn advance(&mut self) -> f64 {
+        let sin = self.sin;
+        self.sin = sin * self.step_cos + self.cos * self.step_sin;
+        self.cos = self.cos * self.step_cos - sin * self.step_sin;
+        sin
+    }
 }
 
 /// A sound source registered with the mixer.
@@ -89,11 +163,104 @@ impl SoundSource {
     pub fn sample(&self) -> f64 {
         self.waveform.sample(self.age) * self.gain
     }
+
+    /// Adds this source's next `out.len()` samples, `dt` seconds apart and
+    /// scaled by its gain and by `attenuation`, into `out`, stopping at the
+    /// first sample whose age [`SoundSource::finished`]. Returns how many
+    /// samples it added.
+    pub fn mix_into(&self, dt: f64, attenuation: f64, out: &mut [f32]) -> usize {
+        let audible = (0..out.len())
+            .position(|i| SoundSource { age: self.age + i as f64 * dt, ..*self }.finished())
+            .unwrap_or(out.len());
+        self.waveform.synthesize(self.age, dt, 1.0, &mut out[..audible], |slot, value| {
+            *slot += (value * self.gain * attenuation) as f32;
+        });
+        audible
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every waveform the simulator's mixer plays: background and engine
+    /// rumble, motor and alarm tones, the collision strike.
+    const SIMULATOR_WAVEFORMS: [Waveform; 5] = [
+        Waveform::Rumble { frequency: 27.0 },
+        Waveform::Rumble { frequency: 45.0 },
+        Waveform::Sine { frequency: 180.0 },
+        Waveform::Sine { frequency: 880.0 },
+        Waveform::Strike { frequency: 320.0, decay: 4.0 },
+    ];
+
+    /// The audio module's block: 1/16 s at 11,025 Hz.
+    const RATE: f64 = 11_025.0;
+    const BLOCK: usize = 689;
+    const BLOCK_SECONDS: f64 = 0.0625;
+    /// 14,400 blocks take source ages to 900 s, the exam's time limit.
+    const BLOCKS: usize = 14_400;
+
+    /// The first block in which the kernel strays more than `bound` from the
+    /// `sample` reference, with its worst error.
+    fn first_violation(waveform: Waveform, step_scale: f64, bound: f64) -> Option<(usize, f64)> {
+        let dt = 1.0 / RATE;
+        let mut out = [0.0; BLOCK];
+        for block in 0..BLOCKS {
+            let age = block as f64 * BLOCK_SECONDS;
+            waveform.synthesize(age, dt, step_scale, &mut out, |slot, value| *slot = value);
+            let worst = out
+                .iter()
+                .enumerate()
+                .map(|(i, v)| (v - waveform.sample(age + i as f64 * dt)).abs())
+                .fold(0.0, f64::max);
+            if worst > bound {
+                return Some((block, worst));
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn phasor_kernel_stays_within_2e9_of_the_sin_reference_for_900_seconds() {
+        for waveform in SIMULATOR_WAVEFORMS {
+            assert_eq!(first_violation(waveform, 1.0, 2e-9), None, "{waveform:?}");
+        }
+    }
+
+    #[test]
+    fn a_step_off_by_one_part_in_1e9_fails_the_accuracy_bound() {
+        for waveform in SIMULATOR_WAVEFORMS {
+            assert!(first_violation(waveform, 1.0 + 1e-9, 2e-9).is_some(), "{waveform:?}");
+        }
+    }
+
+    #[test]
+    fn one_shot_length_equals_the_finished_count() {
+        let mut clang = SoundSource {
+            kind: SourceKind::OneShot { duration: 1.2 },
+            waveform: Waveform::Strike { frequency: 320.0, decay: 4.0 },
+            gain: 0.5,
+            position: None,
+            age: 0.0,
+        };
+        let dt = 1.0 / RATE;
+        let mut out = [0.0f32; BLOCK];
+        let mut total = 0;
+        for _ in 0..BLOCKS {
+            let reference = (0..BLOCK)
+                .take_while(|&i| {
+                    !SoundSource { age: clang.age + i as f64 * dt, ..clang }.finished()
+                })
+                .count();
+            let written = clang.mix_into(dt, 1.0, &mut out);
+            assert_eq!(written, reference, "cutoff moved at age {}", clang.age);
+            total += written;
+            clang.age += BLOCK_SECONDS;
+        }
+        // 19 whole blocks, then the 138 samples of the 20th that start
+        // before 1.2 s.
+        assert_eq!(total, 19 * BLOCK + 138);
+    }
 
     #[test]
     fn waveforms_are_bounded() {

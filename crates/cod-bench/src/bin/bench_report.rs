@@ -10,24 +10,18 @@
 //! `--out` overrides the report path (default `BENCH_cod.json` in the current
 //! directory). Exits non-zero if the COD-vs-single-PC speedup regresses below
 //! 3× — the repo's standing perf anchor — if the E12 Coarse-vs-Full score
-//! drift escapes the pinned tolerance, if the E11 batched-stepping speedup
-//! falls below its floor, or if the E14 tracing overhead escapes its 5%
-//! ceiling.
+//! drift escapes the pinned tolerance, or if the E14 tracing overhead escapes
+//! its 5% ceiling.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use cod_bench::experiments::{self, ExperimentCtx};
+use cod_bench::experiments::{self, observability, ExperimentCtx};
 use cod_bench::measure::MeasureConfig;
 use cod_bench::report::BenchReport;
 
 /// Minimum acceptable COD-vs-single-PC speedup on the default scene.
 const SPEEDUP_FLOOR: f64 = 3.0;
-
-/// Minimum acceptable E11 batched-over-scalar serving speedup at 8
-/// same-shape residents per shard (measured ~1.9x; the margin absorbs
-/// runner noise).
-const BATCH_SPEEDUP_FLOOR: f64 = 1.5;
 
 const USAGE: &str = "usage: bench_report [--quick] [--out PATH] [--no-tables]";
 
@@ -73,7 +67,7 @@ fn main() -> ExitCode {
     let measure = if args.quick { MeasureConfig::quick() } else { MeasureConfig::from_env() };
     let ctx = ExperimentCtx { measure, tables: args.tables };
     println!(
-        "running experiments E1-E14 ({} budget: {} samples/experiment)...",
+        "running experiments E1-E10 and E12-E14 ({} budget: {} samples/experiment)...",
         if args.quick { "quick" } else { "full" },
         measure.samples
     );
@@ -124,26 +118,6 @@ fn main() -> ExitCode {
         crane_sim::SCORE_DRIFT_TOLERANCE
     );
 
-    // Regression gate: batched lockstep stepping must keep paying for itself
-    // at the 8-resident cohort E11 sweeps (identity is asserted inside the
-    // experiment; this gate is about the speed).
-    let batch_speedup = report
-        .experiment("E11")
-        .and_then(|e| e.derived.iter().find(|d| d.name == "batched_speedup_8_residents"))
-        .map(|d| d.value)
-        .unwrap_or(0.0);
-    if batch_speedup < BATCH_SPEEDUP_FLOOR {
-        eprintln!(
-            "REGRESSION: E11 batched stepping speedup {batch_speedup:.2}x at 8 residents fell \
-             below the {BATCH_SPEEDUP_FLOOR:.1}x floor"
-        );
-        return ExitCode::FAILURE;
-    }
-    println!(
-        "E11 batched stepping {batch_speedup:.2}x at 8 residents (floor \
-         {BATCH_SPEEDUP_FLOOR:.1}x) — ok"
-    );
-
     // Regression gate: arming the deterministic trace sink must stay cheap
     // enough to leave on — E14 pins the ceiling.
     let overhead = report
@@ -151,12 +125,9 @@ fn main() -> ExitCode {
         .and_then(|e| e.derived.iter().find(|d| d.name == "tracing_overhead_pct"))
         .map(|d| d.value)
         .unwrap_or(f64::INFINITY);
-    let ceiling = cod_bench::experiments::observability::TRACING_OVERHEAD_CEILING_PCT;
-    if overhead > ceiling {
-        eprintln!(
-            "REGRESSION: E14 tracing overhead {overhead:+.2}% escaped the {ceiling:.1}% ceiling \
-             on the batched serving path"
-        );
+    let ceiling = observability::TRACING_OVERHEAD_CEILING_PCT;
+    if let Err(reason) = observability::check_overhead_pct(overhead) {
+        eprintln!("REGRESSION: {reason}");
         return ExitCode::FAILURE;
     }
     println!("E14 tracing overhead {overhead:+.2}% (ceiling {ceiling:.1}%) — ok");

@@ -8,7 +8,6 @@
 //! `bench_report` runner binary are both thin wrappers over these functions,
 //! so `cargo bench` output and `BENCH_cod.json` can never disagree.
 
-pub mod batch_stepping;
 pub mod cluster_speedup;
 pub mod collision;
 pub mod dynamics;
@@ -72,7 +71,6 @@ pub fn all(ctx: &ExperimentCtx) -> Vec<ExperimentResult> {
         cluster_speedup::run(ctx),
         fleet::run(ctx),
         hetero_fleet::run(ctx),
-        batch_stepping::run(ctx),
         fidelity_tiers::run(ctx),
         wallclock::run(ctx),
         observability::run(ctx),

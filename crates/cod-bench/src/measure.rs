@@ -185,6 +185,36 @@ pub fn measure<F: FnMut()>(config: &MeasureConfig, mut routine: F) -> Measuremen
     Measurement { stats: Stats::from_samples(&samples, config), iters_per_sample: iters }
 }
 
+/// Times `base` and `variant` in `pairs` pairs after `config.warmup_iters`
+/// untimed runs of both. A pair runs base, variant, variant, base, and each
+/// side's time is the mean of its two runs, so a drift of the host that is
+/// linear over the pair, or a penalty on whichever routine runs first, lands
+/// on both sides alike. Meant for routines long enough (milliseconds) that
+/// one run is a sample. Returns each pair's `(base, variant)` nanoseconds.
+pub fn measure_pairs<A: FnMut(), B: FnMut()>(
+    config: &MeasureConfig,
+    pairs: usize,
+    mut base: A,
+    mut variant: B,
+) -> Vec<(f64, f64)> {
+    for _ in 0..config.warmup_iters {
+        base();
+        variant();
+    }
+    let time = |routine: &mut dyn FnMut()| {
+        let start = Instant::now();
+        routine();
+        start.elapsed().as_nanos() as f64
+    };
+    (0..pairs.max(1))
+        .map(|_| {
+            let b = time(&mut base);
+            let v = time(&mut variant) + time(&mut variant);
+            ((b + time(&mut base)) / 2.0, v / 2.0)
+        })
+        .collect()
+}
+
 /// Milliseconds since the Unix epoch, for stamping report metadata. Lives
 /// here — the measurement layer is the workspace's wall-clock fence (see
 /// `audit.toml`) — so the report modules themselves never read a clock.

@@ -4,7 +4,6 @@ use cod_cb::{CbError, ClassRegistry, LpId};
 use cod_net::{FaultPlan, LanConfig, LanStats, Micros, SharedLan, SimLan};
 use serde::{Deserialize, Serialize};
 
-use crate::batch::BatchScratch;
 use crate::computer::Computer;
 use crate::lp::LogicalProcess;
 use crate::metrics::ClusterMetrics;
@@ -240,30 +239,6 @@ impl Cluster {
         let mut costs = Vec::with_capacity(self.computers.len());
         for computer in self.computers.iter_mut() {
             let cost = computer.step_frame(self.now, dt)?;
-            costs.push((computer.name().to_owned(), cost));
-        }
-        self.now += self.config.frame_period;
-        SimLan::advance_to(&self.lan, self.now);
-        self.metrics.record_frame(self.config.frame_period, &costs);
-        Ok(FrameRecord { frame, now: self.now, costs })
-    }
-
-    /// [`Cluster::run_frame`] with the cohort's batch scratch threaded to
-    /// every computer, for sessions advanced in lockstep with same-shape
-    /// siblings. Bit-identical to the scalar frame.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first error raised by an LP step or kernel tick.
-    pub fn run_frame_batched(
-        &mut self,
-        scratch: &mut BatchScratch,
-    ) -> Result<FrameRecord, CbError> {
-        let frame = self.metrics.frames_run;
-        let dt = self.config.frame_period.as_secs_f64();
-        let mut costs = Vec::with_capacity(self.computers.len());
-        for computer in self.computers.iter_mut() {
-            let cost = computer.step_frame_batched(self.now, dt, scratch)?;
             costs.push((computer.name().to_owned(), cost));
         }
         self.now += self.config.frame_period;

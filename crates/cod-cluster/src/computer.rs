@@ -3,7 +3,6 @@
 use cod_cb::{CbError, CbKernel, ClassRegistry, LpContext, LpId};
 use cod_net::{Micros, SimTransport};
 
-use crate::batch::BatchScratch;
 use crate::lp::LogicalProcess;
 
 /// A desktop PC of the COD: a Communication Backbone kernel plus the Logical
@@ -136,29 +135,6 @@ impl Computer {
         for (id, lp) in self.lps.iter_mut() {
             let mut ctx = LpContext::new(&mut self.kernel, *id);
             lp.step(&mut ctx, dt)?;
-            cost_us += lp.last_step_cost().0 as f64;
-        }
-        self.kernel.tick(now)?;
-        Ok(Micros((cost_us / self.cpu_speed).round() as u64))
-    }
-
-    /// [`Computer::step_frame`] with the cohort's batch scratch threaded to
-    /// every resident LP's [`LogicalProcess::step_batched`]. Bit-identical to
-    /// the scalar frame by the `step_batched` contract.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first error raised by an LP step or the kernel tick.
-    pub fn step_frame_batched(
-        &mut self,
-        now: Micros,
-        dt: f64,
-        scratch: &mut BatchScratch,
-    ) -> Result<Micros, CbError> {
-        let mut cost_us = 0.0;
-        for (id, lp) in self.lps.iter_mut() {
-            let mut ctx = LpContext::new(&mut self.kernel, *id);
-            lp.step_batched(&mut ctx, dt, scratch)?;
             cost_us += lp.last_step_cost().0 as f64;
         }
         self.kernel.tick(now)?;

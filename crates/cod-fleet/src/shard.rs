@@ -24,26 +24,19 @@ use cod_cb::CbError;
 use cod_cluster::nominal_sequential_frame_cost;
 use cod_net::Micros;
 use cod_trace::{DetTrace, WallTrace, DRIVER_LANE};
-use crane_sim::{
-    step_frames_batch, step_frames_batch_traced, BatchStepStats, Coarse, CraneSimulator,
-    FidelityTier, SessionReport, SimulatorConfig,
-};
+use crane_sim::{Coarse, CraneSimulator, FidelityTier, SessionReport, SimulatorConfig};
 
 use crate::workload::{Priority, SessionSpec};
 
-/// How a shard advances its residents each tick.
-///
-/// Both modes produce bit-identical sessions — identical telemetry digests,
-/// reports and modeled costs — because the batched path shares only work that
-/// is provably invariant across cohort members (see
-/// [`crane_sim::step_frames_batch`]). `Batched` is the default; `Scalar` is
-/// kept as the reference implementation the equivalence checks diff against.
+/// A retired stepping choice, kept only as a name for callers that still
+/// set it. Nothing reads it: every shard steps its residents one session at
+/// a time, one frame at a time, whichever variant is configured.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SteppingMode {
-    /// One session at a time, one frame at a time — the reference hot loop.
+    /// One session at a time, one frame at a time.
     Scalar,
-    /// Residents sharing a [`SessionShape`] advance in lockstep, frame-major,
-    /// sharing per-frame scratch (e.g. memoized audio waveform columns).
+    /// Formerly lockstep cohorts of same-shape residents; now the same
+    /// stepping as [`SteppingMode::Scalar`].
     #[default]
     Batched,
 }
@@ -57,7 +50,7 @@ pub struct ShardConfig {
     pub batch_frames: usize,
     /// Retired simulators kept per session shape for recycling.
     pub pool_per_shape: usize,
-    /// How residents are stepped each tick (never affects results).
+    /// Unread; see [`SteppingMode`].
     pub stepping: SteppingMode,
 }
 
@@ -243,11 +236,8 @@ pub struct ShardStats {
 /// fingerprinted `OBS_cod.json`. Wall-clock numbers never land here.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub(crate) struct DetShardCounters {
-    /// Frame-level counters from the batched stepper (frames stepped, memo
-    /// hits/misses in the cohort wavebank).
-    pub(crate) batch: BatchStepStats,
-    /// Lockstep cohorts stepped (one per shape per tick under `Batched`).
-    pub(crate) cohorts: u64,
+    /// Session frames stepped.
+    pub(crate) frames_stepped: u64,
 }
 
 /// The observability hooks of one shard, boxed so a disabled shard carries a
@@ -328,10 +318,7 @@ impl Shard {
     /// run, in shard-id order, so the aggregate is seed-stable.
     pub(crate) fn fold_det_into(&self, det: &mut DetTrace) {
         if let Some(c) = self.trace.as_ref().and_then(|t| t.det.as_ref()) {
-            det.add("frames_stepped", c.batch.frames_stepped);
-            det.add("cohorts_stepped", c.cohorts);
-            det.add("memo_hits", c.batch.memo_hits);
-            det.add("memo_misses", c.batch.memo_misses);
+            det.add("frames_stepped", c.frames_stepped);
         }
     }
 
@@ -641,12 +628,6 @@ impl Shard {
     /// the ones that finish. Returns the retirements plus the modeled busy
     /// time of this tick.
     ///
-    /// Under [`SteppingMode::Batched`] residents sharing a [`SessionShape`]
-    /// advance as one lockstep cohort per shape instead of one session at a
-    /// time; modeled costs are `u64` microsecond sums, so regrouping the
-    /// accumulation is exact and the tick total matches the scalar path bit
-    /// for bit.
-    ///
     /// # Errors
     ///
     /// Returns the first error raised by any session's executive.
@@ -655,62 +636,20 @@ impl Shard {
         assert!(!self.poison_for_test, "shard {} was poisoned for a panic test", self.id);
         let batch_frames = self.config.batch_frames;
         let mut tick_busy = Micros::ZERO;
-        match self.config.stepping {
-            SteppingMode::Scalar => {
-                for r in self.residents.iter_mut() {
-                    // saturating: a resumed session can arrive with more
-                    // frames done than its budget asks for (see the
-                    // regression test) — it must retire, not underflow.
-                    let frames = batch_frames.min(r.spec.frames.saturating_sub(r.frames_done));
-                    for _ in 0..frames {
-                        let record = r.sim.step_frame()?;
-                        for (_, cost) in &record.costs {
-                            tick_busy += *cost;
-                        }
-                    }
-                    r.frames_done += frames;
-                    if let Some(det) = self.trace.as_mut().and_then(|t| t.det.as_mut()) {
-                        det.batch.frames_stepped += frames as u64;
-                    }
+        for r in self.residents.iter_mut() {
+            // saturating: a resumed session can arrive with more frames done
+            // than its budget asks for (see the regression test) — it must
+            // retire, not underflow.
+            let frames = batch_frames.min(r.spec.frames.saturating_sub(r.frames_done));
+            for _ in 0..frames {
+                let record = r.sim.step_frame()?;
+                for (_, cost) in &record.costs {
+                    tick_busy += *cost;
                 }
             }
-            SteppingMode::Batched => {
-                let mut cohorts: BTreeMap<SessionShape, Vec<&mut Resident>> = BTreeMap::new();
-                for r in self.residents.iter_mut() {
-                    cohorts.entry(SessionShape::of(&r.spec.config)).or_default().push(r);
-                }
-                for members in cohorts.values_mut() {
-                    let cohort_start = self
-                        .trace
-                        .as_ref()
-                        .and_then(|t| t.wall.as_ref())
-                        .map(|(w, lane)| (w.now_us(), *lane));
-                    let budgets: Vec<usize> = members
-                        .iter()
-                        .map(|r| batch_frames.min(r.spec.frames.saturating_sub(r.frames_done)))
-                        .collect();
-                    let mut batch: Vec<(&mut CraneSimulator, usize)> = members
-                        .iter_mut()
-                        .zip(&budgets)
-                        .map(|(r, budget)| (&mut r.sim, *budget))
-                        .collect();
-                    let costs = match self.trace.as_mut().and_then(|t| t.det.as_mut()) {
-                        Some(det) => {
-                            det.cohorts += 1;
-                            step_frames_batch_traced(&mut batch, Some(&mut det.batch))?
-                        }
-                        None => step_frames_batch(&mut batch)?,
-                    };
-                    for ((r, budget), cost) in members.iter_mut().zip(&budgets).zip(&costs) {
-                        tick_busy += *cost;
-                        r.frames_done += *budget;
-                    }
-                    if let Some((start, lane)) = cohort_start {
-                        if let Some((w, _)) = self.trace.as_ref().and_then(|t| t.wall.as_ref()) {
-                            w.complete(lane, format!("cohort x{}", members.len()), "cohort", start);
-                        }
-                    }
-                }
+            r.frames_done += frames;
+            if let Some(det) = self.trace.as_mut().and_then(|t| t.det.as_mut()) {
+                det.frames_stepped += frames as u64;
             }
         }
         self.stats.busy += tick_busy;
@@ -829,8 +768,7 @@ mod tests {
         assert_eq!(det.fingerprint(), DetTrace::new().fingerprint(), "nothing was recorded");
         // The traced twin did record: same results, plus the counters.
         let counters = traced.trace.as_ref().and_then(|t| t.det.as_ref()).unwrap();
-        assert!(counters.batch.frames_stepped > 0);
-        assert!(counters.cohorts > 0);
+        assert!(counters.frames_stepped > 0);
     }
 
     #[test]
@@ -1055,24 +993,22 @@ mod tests {
         // unguarded, so a resumed session whose frames_done exceeded its
         // budget (a shrunk spec, or an over-replayed portable) panicked the
         // shard instead of retiring the session.
-        for stepping in [SteppingMode::Scalar, SteppingMode::Batched] {
-            let mut shard = Shard::new(0, ShardConfig { stepping, ..ShardConfig::default() }, 1.0);
-            let spec = tiny_spec(0, 5, 4);
-            let portable = PortableSession {
-                spec,
-                frames_done: 6, // more than the 4-frame budget
-                arrived_tick: 0,
-                admitted_tick: 0,
-                preempted: 0,
-                migrated: 0,
-                promoted: 0,
-                demoted: 0,
-            };
-            shard.resume(portable).unwrap();
-            let (completed, _) = shard.step_batch().unwrap();
-            assert_eq!(completed.len(), 1, "overshot resident must retire ({stepping:?})");
-            assert_eq!(shard.resident_count(), 0);
-        }
+        let mut shard = Shard::new(0, ShardConfig::default(), 1.0);
+        let spec = tiny_spec(0, 5, 4);
+        let portable = PortableSession {
+            spec,
+            frames_done: 6, // more than the 4-frame budget
+            arrived_tick: 0,
+            admitted_tick: 0,
+            preempted: 0,
+            migrated: 0,
+            promoted: 0,
+            demoted: 0,
+        };
+        shard.resume(portable).unwrap();
+        let (completed, _) = shard.step_batch().unwrap();
+        assert_eq!(completed.len(), 1, "overshot resident must retire");
+        assert_eq!(shard.resident_count(), 0);
     }
 
     #[test]
@@ -1095,8 +1031,9 @@ mod tests {
 
     #[test]
     fn batched_stepping_matches_scalar_bit_for_bit() {
-        // A mixed cohort — same-shape pairs plus a Coarse odd one out — served
-        // by both stepping modes must retire identical sessions: same reports,
+        // `SteppingMode::Batched` is retired but still settable: a mixed
+        // resident set — same-shape pairs plus a Coarse odd one out — served
+        // under either setting must retire identical sessions: same reports,
         // same telemetry fingerprints, same modeled busy time.
         let run = |stepping: SteppingMode| {
             let mut shard = Shard::new(

@@ -9,13 +9,9 @@ use std::collections::BTreeMap;
 use cod_cb::CbError;
 use cod_fleet::{
     initial_tier, run_fleet, ExecutionMode, FleetConfig, FleetOutcome, FleetReport, Priority,
-    SessionShape, SteppingMode,
+    SteppingMode,
 };
-use crane_sim::{
-    step_frames_batch, CraneSimulator, FidelityTier, SimulatorConfig, SCORE_DRIFT_TOLERANCE,
-};
-
-use crate::matrix::{scenario_specs, MatrixConfig};
+use crane_sim::{FidelityTier, SCORE_DRIFT_TOLERANCE};
 
 /// Checks every fleet-level safety property on a drained outcome; returns a
 /// description of each violated property (empty ⇒ all held).
@@ -320,15 +316,14 @@ pub fn obs_equivalence_check(
     Ok((reference, divergences))
 }
 
-/// Proves batched-stepping equivalence: the same configuration served with
-/// [`SteppingMode::Scalar`] (the reference hot loop, modeled execution) and
-/// with [`SteppingMode::Batched`] under [`ExecutionMode::Modeled`] and
+/// Proves the retired [`SteppingMode::Batched`] setting is inert: the same
+/// configuration served with [`SteppingMode::Scalar`] (modeled execution) and
+/// with `Batched` under [`ExecutionMode::Modeled`] and
 /// [`ExecutionMode::WallClock`] at each requested thread count must produce
 /// byte-identical serialized reports **and** identical per-session telemetry
-/// digests — grouping same-shape residents into lockstep cohorts may change
-/// how fast sessions are served, never what they compute. Returns the scalar
-/// reference report plus a description of every divergence (empty ⇒
-/// equivalent).
+/// digests. Callers that still set `Batched` must be served exactly like
+/// everyone else. Returns the scalar reference report plus a description of
+/// every divergence (empty ⇒ equivalent).
 ///
 /// # Errors
 ///
@@ -377,65 +372,6 @@ pub fn batch_equivalence_check(
         }
     }
     Ok((reference, violations))
-}
-
-/// Proves batched-stepping equivalence across every [`SessionShape`] of the
-/// scenario matrix: each distinct shape the sweep exercises (deduplicated —
-/// fault plans do not change a shape) gets a small same-shape cohort of
-/// divergent seeds run both scalar (one [`CraneSimulator::step_frame`] loop
-/// per session) and batched ([`step_frames_batch`] lockstep), and every
-/// member's telemetry digest must match bit for bit. Returns a description of
-/// every divergence (empty ⇒ equivalent).
-///
-/// # Errors
-///
-/// Returns the first hard error raised by any simulator.
-pub fn batch_shape_coverage_check(
-    matrix: &MatrixConfig,
-    cohort: usize,
-    frames: usize,
-) -> Result<Vec<String>, CbError> {
-    let mut shapes: BTreeMap<SessionShape, SimulatorConfig> = BTreeMap::new();
-    for spec in scenario_specs(matrix) {
-        let mut config = spec.config.clone();
-        config.exam_frames = frames;
-        shapes.entry(SessionShape::of(&config)).or_insert(config);
-    }
-
-    let mut violations = Vec::new();
-    for (index, base) in shapes.values().enumerate() {
-        let cohort_config = |k: usize| {
-            let mut config = base.clone();
-            config.seed ^= (k as u64) * 0x9E37_79B9;
-            config
-        };
-        // Scalar reference: each member stepped alone, frame by frame.
-        let mut scalar_digests = Vec::with_capacity(cohort);
-        for k in 0..cohort {
-            let mut sim = CraneSimulator::new(cohort_config(k))?;
-            for _ in 0..frames {
-                sim.step_frame()?;
-            }
-            scalar_digests.push(sim.telemetry_digest());
-        }
-        // Batched run: the same cohort advanced in lockstep.
-        let mut sims = (0..cohort)
-            .map(|k| CraneSimulator::new(cohort_config(k)))
-            .collect::<Result<Vec<_>, _>>()?;
-        let mut batch: Vec<(&mut CraneSimulator, usize)> =
-            sims.iter_mut().map(|sim| (sim, frames)).collect();
-        step_frames_batch(&mut batch)?;
-        for (k, (sim, scalar)) in sims.iter().zip(&scalar_digests).enumerate() {
-            if sim.telemetry_digest() != *scalar {
-                violations.push(format!(
-                    "matrix shape {index}: cohort member {k} diverged from its scalar twin \
-                     (operator {:?}, gpu {:?}, {} channels)",
-                    base.operator, base.gpu, base.display_channels
-                ));
-            }
-        }
-    }
-    Ok(violations)
 }
 
 /// Proves migration transparency: the same workload served with live
@@ -663,9 +599,9 @@ mod tests {
 
     #[test]
     fn batched_stepping_is_equivalent_on_a_mixed_fleet() {
-        // The hardest fleet to keep bit-identical: heterogeneous speeds,
-        // preemption and migration all reshuffling cohorts mid-run, replayed
-        // scalar vs batched under modeled and pooled execution.
+        // Heterogeneous speeds, preemption and migration, served with the
+        // retired Batched setting under modeled and pooled execution, must
+        // match the Scalar reference byte for byte.
         let (reference, violations) =
             batch_equivalence_check(&hetero_config(0xC0D), &[1, 4]).unwrap();
         assert!(
@@ -678,19 +614,10 @@ mod tests {
     #[test]
     fn batched_stepping_is_equivalent_on_a_tiered_burst() {
         // Mixed tiers: live demotion puts Coarse and Full residents on the
-        // same shard, so batched cohorts split across decimated and full
-        // racks.
+        // same shard.
         let (reference, violations) =
             batch_equivalence_check(&tiered_burst_config(0xC0D), &[2]).unwrap();
         assert!(reference.demoted > 0, "the check must cover mixed tiers");
-        assert!(violations.is_empty(), "{violations:?}");
-    }
-
-    #[test]
-    fn batched_stepping_covers_every_matrix_shape() {
-        // Every distinct session shape of the full 72-scenario sweep, as a
-        // lockstep cohort vs its scalar twins.
-        let violations = batch_shape_coverage_check(&MatrixConfig::full(), 2, 10).unwrap();
         assert!(violations.is_empty(), "{violations:?}");
     }
 

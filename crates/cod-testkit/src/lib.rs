@@ -51,8 +51,8 @@ pub mod matrix;
 pub mod plans;
 
 pub use fleet_invariants::{
-    batch_equivalence_check, batch_shape_coverage_check, check_fleet_outcome, fleet_replay_check,
-    migration_transparency_check, obs_equivalence_check, wallclock_equivalence_check,
+    batch_equivalence_check, check_fleet_outcome, fleet_replay_check, migration_transparency_check,
+    obs_equivalence_check, wallclock_equivalence_check,
 };
 pub use harness::{replay_check, run_scenario, run_scenario_with, ScenarioOutcome, ScenarioSpec};
 pub use invariants::{standard_invariants, FrameContext, Invariant, InvariantViolation};

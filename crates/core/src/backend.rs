@@ -22,8 +22,7 @@
 //! [`CraneSimulator`]: crate::CraneSimulator
 
 use cod_cluster::{
-    frame_period_for_fps, BatchScratch, Cluster, ClusterConfig, ComputerId, FrameRecord,
-    FrameSyncServer,
+    frame_period_for_fps, Cluster, ClusterConfig, ComputerId, FrameRecord, FrameSyncServer,
 };
 use cod_net::{FaultPlan, LanConfig, Micros};
 use render_sim::GpuCostModel;
@@ -70,21 +69,6 @@ pub trait SimBackend: Send {
     ///
     /// Returns the first error raised by a module or the backbone.
     fn step_frame(&mut self) -> Result<FrameRecord, CbError>;
-
-    /// [`SimBackend::step_frame`] with access to scratch shared across the
-    /// same-shape cohort being advanced in lockstep (see
-    /// [`crate::simulator::step_frames_batch`]). MUST be bit-identical to
-    /// `step_frame`; the default ignores the scratch, so every backend is
-    /// batchable — sharing work is an opt-in optimization, never a semantic
-    /// change.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first error raised by a module or the backbone.
-    fn step_frame_batched(&mut self, scratch: &mut BatchScratch) -> Result<FrameRecord, CbError> {
-        let _ = scratch;
-        self.step_frame()
-    }
 
     /// Rewinds every piece of session state to the canonical session start
     /// and re-seeds the stochastic models (see
@@ -309,10 +293,6 @@ impl SimBackend for FullFidelity {
         self.cluster.run_frame()
     }
 
-    fn step_frame_batched(&mut self, scratch: &mut BatchScratch) -> Result<FrameRecord, CbError> {
-        self.cluster.run_frame_batched(scratch)
-    }
-
     fn reset_for_session(&mut self, seed: u64) -> Result<(), CbError> {
         self.start_session(seed)
     }
@@ -489,21 +469,6 @@ impl SimBackend for Coarse {
         } else {
             // A decimated-away frame: no modeled cost, time holds until the
             // next real step advances it by a full decimated period.
-            Ok(FrameRecord { frame, now: self.rack.cluster().now(), costs: Vec::new() })
-        }
-    }
-
-    fn step_frame_batched(&mut self, scratch: &mut BatchScratch) -> Result<FrameRecord, CbError> {
-        // Same decimation as the scalar path; only the real cluster frames
-        // touch the cohort scratch. Cohort members whose decimation phases
-        // differ merely miss the memo — identity never depends on alignment.
-        let frame = self.session_frames;
-        self.session_frames += 1;
-        if frame % Self::DECIMATION == 0 {
-            let mut record = self.rack.step_frame_batched(scratch)?;
-            record.frame = frame;
-            Ok(record)
-        } else {
             Ok(FrameRecord { frame, now: self.rack.cluster().now(), costs: Vec::new() })
         }
     }

@@ -11,7 +11,7 @@
 //! decimated, order(s)-of-magnitude cheaper tier behind the same API. The
 //! facade dispatches on [`SimulatorConfig::tier`] at construction.
 
-use cod_cluster::{BatchScratch, Cluster, ComputerId, FrameRecord};
+use cod_cluster::{Cluster, ComputerId, FrameRecord};
 use cod_net::{FaultPlan, LanStats, Micros};
 use serde::{Deserialize, Serialize};
 
@@ -177,20 +177,6 @@ impl CraneSimulator {
         self.backend.step_frame()
     }
 
-    /// [`CraneSimulator::step_frame`] with access to scratch shared across a
-    /// lockstep cohort — see [`step_frames_batch`]. Bit-identical to
-    /// `step_frame` by the [`SimBackend::step_frame_batched`] contract.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first error raised by a module or the backbone.
-    pub fn step_frame_batched(
-        &mut self,
-        scratch: &mut BatchScratch,
-    ) -> Result<FrameRecord, CbError> {
-        self.backend.step_frame_batched(scratch)
-    }
-
     /// Read access to the underlying cluster (rack layout, metrics, kernels),
     /// used by invariant checkers to audit CB channel tables.
     pub fn cluster(&self) -> &Cluster {
@@ -245,89 +231,6 @@ impl CraneSimulator {
     pub fn session_cost_hint(&self) -> Micros {
         self.backend.session_cost_hint()
     }
-}
-
-/// Advances a cohort of simulators frame-major and in lockstep: frame `k` of
-/// every member runs before frame `k+1` of any of them, all sharing one
-/// [`BatchScratch`] whose epoch advances per frame index. Each entry carries
-/// its own frame budget; members whose budget is exhausted sit out the
-/// remaining frames.
-///
-/// This is the data-parallel inner loop of the serving layer's batched
-/// stepping: same-shape sessions admitted together keep their per-frame pure
-/// work (waveform columns today, hoisted tables tomorrow) aligned, so the
-/// scratch turns N copies of it into one. Returns the summed modeled cost of
-/// each member's frames, in cohort order. Bit-identical to stepping every
-/// member independently with [`CraneSimulator::step_frame`].
-///
-/// # Errors
-///
-/// Returns the first error raised by any member's executive.
-pub fn step_frames_batch(
-    batch: &mut [(&mut CraneSimulator, usize)],
-) -> Result<Vec<Micros>, CbError> {
-    step_frames_batch_traced(batch, None)
-}
-
-/// Frame-level counters collected by [`step_frames_batch_traced`]: how many
-/// session frames the batch actually stepped and how the cohort's wavebank
-/// memo fared. Deterministic — a pure function of the cohort and the seed —
-/// so observability sinks may fold them into fingerprinted reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct BatchStepStats {
-    /// Session frames stepped across all members (budget-gated, so less than
-    /// `members * max_budget` when budgets are ragged).
-    pub frames_stepped: u64,
-    /// Wavebank memo hits across the whole batch.
-    pub memo_hits: u64,
-    /// Wavebank memo misses (columns rendered then shared) across the batch.
-    pub memo_misses: u64,
-}
-
-impl BatchStepStats {
-    /// Accumulates another batch's counters into this one.
-    pub fn merge(&mut self, other: &BatchStepStats) {
-        self.frames_stepped += other.frames_stepped;
-        self.memo_hits += other.memo_hits;
-        self.memo_misses += other.memo_misses;
-    }
-}
-
-/// [`step_frames_batch`] with an optional stats out-parameter. When `stats`
-/// is `Some`, the counters for this batch are *added* into it (callers keep
-/// one accumulator across many cohorts); the stepping itself is bit-identical
-/// either way.
-///
-/// # Errors
-///
-/// Returns the first error raised by any member's executive.
-pub fn step_frames_batch_traced(
-    batch: &mut [(&mut CraneSimulator, usize)],
-    stats: Option<&mut BatchStepStats>,
-) -> Result<Vec<Micros>, CbError> {
-    let mut scratch = BatchScratch::new();
-    let mut costs = vec![Micros::ZERO; batch.len()];
-    let mut frames_stepped = 0u64;
-    let frames = batch.iter().map(|(_, budget)| *budget).max().unwrap_or(0);
-    for frame in 0..frames {
-        scratch.begin_frame();
-        for ((sim, budget), cost) in batch.iter_mut().zip(costs.iter_mut()) {
-            if frame < *budget {
-                let record = sim.step_frame_batched(&mut scratch)?;
-                for (_, c) in &record.costs {
-                    *cost += *c;
-                }
-                frames_stepped += 1;
-            }
-        }
-    }
-    if let Some(stats) = stats {
-        let (hits, misses) = crate::audio::wavebank_memo_stats(&mut scratch);
-        stats.frames_stepped += frames_stepped;
-        stats.memo_hits += hits;
-        stats.memo_misses += misses;
-    }
-    Ok(costs)
 }
 
 #[cfg(test)]
@@ -451,71 +354,5 @@ mod tests {
     fn invalid_config_is_rejected() {
         let bad = SimulatorConfig { display_channels: 0, ..SimulatorConfig::default() };
         assert!(CraneSimulator::new(bad).is_err());
-    }
-
-    fn cohort(tier: FidelityTier, n: usize, frames: usize) -> Vec<CraneSimulator> {
-        (0..n)
-            .map(|k| {
-                let config = SimulatorConfig {
-                    tier,
-                    seed: 0xBA7C + k as u64,
-                    ..quick_config(OperatorKind::Exam, frames)
-                };
-                CraneSimulator::new(config).unwrap()
-            })
-            .collect()
-    }
-
-    #[test]
-    fn batched_cohort_is_bit_identical_to_scalar_stepping() {
-        for tier in [FidelityTier::Full, FidelityTier::Coarse] {
-            let frames = 24;
-            let mut scalar = cohort(tier, 3, frames);
-            let mut batched = cohort(tier, 3, frames);
-
-            let mut scalar_costs = vec![Micros::ZERO; scalar.len()];
-            for (sim, cost) in scalar.iter_mut().zip(scalar_costs.iter_mut()) {
-                for _ in 0..frames {
-                    let record = sim.step_frame().unwrap();
-                    for (_, c) in &record.costs {
-                        *cost += *c;
-                    }
-                }
-            }
-
-            let mut batch: Vec<(&mut CraneSimulator, usize)> =
-                batched.iter_mut().map(|sim| (sim, frames)).collect();
-            let batched_costs = step_frames_batch(&mut batch).unwrap();
-
-            assert_eq!(scalar_costs, batched_costs, "modeled costs diverged on {tier:?}");
-            for (a, b) in scalar.iter().zip(batched.iter()) {
-                assert_eq!(
-                    a.telemetry_digest(),
-                    b.telemetry_digest(),
-                    "telemetry diverged on {tier:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn batch_members_with_uneven_budgets_sit_out_extra_frames() {
-        let mut scalar = cohort(FidelityTier::Full, 2, 20);
-        let mut batched = cohort(FidelityTier::Full, 2, 20);
-        let budgets = [20usize, 7];
-
-        for (sim, budget) in scalar.iter_mut().zip(budgets) {
-            for _ in 0..budget {
-                sim.step_frame().unwrap();
-            }
-        }
-        let mut batch: Vec<(&mut CraneSimulator, usize)> =
-            batched.iter_mut().zip(budgets).map(|(sim, budget)| (sim, budget)).collect();
-        step_frames_batch(&mut batch).unwrap();
-
-        for ((a, b), budget) in scalar.iter().zip(batched.iter()).zip(budgets) {
-            assert_eq!(a.backend().frames_run(), budget as u64);
-            assert_eq!(a.telemetry_digest(), b.telemetry_digest());
-        }
     }
 }

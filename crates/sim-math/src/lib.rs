@@ -17,7 +17,6 @@
 //! ```
 
 pub mod angle;
-pub mod batch;
 pub mod filter;
 pub mod hash;
 pub mod integrate;
@@ -29,7 +28,6 @@ pub mod transform;
 pub mod vec;
 
 pub use angle::{normalize_angle, wrap_to_pi, Deg, Rad};
-pub use batch::{rk4_step_batch, semi_implicit_euler_step_batch};
 pub use filter::{HighPass, LowPass, RateLimiter};
 pub use hash::Fnv1a;
 pub use integrate::{rk4_step, semi_implicit_euler_step};

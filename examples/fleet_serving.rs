@@ -113,13 +113,7 @@ fn main() {
     let trace_path = "target/obs/fleet_serving_trace.json";
     std::fs::write(trace_path, trace.to_chrome_json().to_pretty()).expect("write trace");
     println!("\nperfetto trace: {trace_path} ({} events)", trace.event_count());
-    println!(
-        "obs metrics: {} frames stepped in {} lockstep cohorts ({} memo hits / {} misses)",
-        det.counter("frames_stepped"),
-        det.counter("cohorts_stepped"),
-        det.counter("memo_hits"),
-        det.counter("memo_misses"),
-    );
+    println!("obs metrics: {} frames stepped", det.counter("frames_stepped"));
     println!(
         "obs events: {} placements, {} rejections, {} preemptions, {} migrations",
         det.events_of("place"),
