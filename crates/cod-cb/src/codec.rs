@@ -5,7 +5,7 @@
 //! used — no serialization framework — so the exact wire cost of every message
 //! is visible and is charged faithfully by the simulated LAN's bandwidth model.
 
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::{Buf, BufMut};
 
 use crate::error::CbError;
 use crate::fom::{AttributeId, AttributeValues, Value};
@@ -109,34 +109,38 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// Reads an attribute-value map.
+    /// Reads an attribute-value record.
+    ///
+    /// The declared count reserves room only for as many entries as the
+    /// remaining payload can hold, so a hostile count cannot force a large
+    /// allocation. Entries may arrive in any id order; a repeated id keeps
+    /// its last value.
     pub fn attribute_values(&mut self) -> Result<AttributeValues, CbError> {
         let count = self.u16()? as usize;
-        let mut values = AttributeValues::new();
+        let mut pairs = Vec::with_capacity(count.min(self.remaining() / MIN_ATTRIBUTE_BYTES));
         for _ in 0..count {
             let id = AttributeId(self.u16()?);
-            let value = self.value()?;
-            values.insert(id, value);
+            pairs.push((id, self.value()?));
         }
-        Ok(values)
+        Ok(AttributeValues::from_pairs(pairs))
     }
 }
 
-/// A writer that builds an encoded payload.
-#[derive(Debug, Default)]
-pub struct Writer {
-    buf: BytesMut,
+/// The fewest bytes one encoded attribute occupies: a 2-byte id, a 1-byte
+/// value tag and at least one byte of value (a `Bool`).
+const MIN_ATTRIBUTE_BYTES: usize = 4;
+
+/// A writer that appends an encoded payload to a caller-owned buffer, so a
+/// sender can reuse one buffer for every message it encodes.
+#[derive(Debug)]
+pub struct Writer<'a> {
+    buf: &'a mut Vec<u8>,
 }
 
-impl Writer {
-    /// Creates an empty writer.
-    pub fn new() -> Writer {
-        Writer { buf: BytesMut::with_capacity(128) }
-    }
-
-    /// Finishes encoding and returns the payload.
-    pub fn finish(self) -> Vec<u8> {
-        self.buf.to_vec()
+impl<'a> Writer<'a> {
+    /// Creates a writer that appends to `buf`.
+    pub fn new(buf: &'a mut Vec<u8>) -> Writer<'a> {
+        Writer { buf }
     }
 
     /// Writes one byte.
@@ -216,10 +220,10 @@ impl Writer {
         self
     }
 
-    /// Writes an attribute-value map.
+    /// Writes an attribute-value record in ascending id order.
     pub fn attribute_values(&mut self, values: &AttributeValues) -> &mut Self {
         self.u16(values.len() as u16);
-        for (id, value) in values {
+        for (id, value) in values.iter() {
             self.u16(id.0);
             self.value(value);
         }
@@ -230,18 +234,152 @@ impl Writer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+    use std::time::Duration;
+
+    fn value_of(tag: u8, x: u32) -> Value {
+        match tag % 6 {
+            0 => Value::Bool(x % 2 == 1),
+            1 => Value::U32(x),
+            2 => Value::F64(f64::from(x) * 0.5),
+            3 => Value::Vec3([f64::from(x), -1.0, 0.25]),
+            4 => Value::Text(format!("t{x}")),
+            _ => Value::Bytes(x.to_be_bytes().to_vec()),
+        }
+    }
+
+    /// The wire encoding of an ordered map, written field by field: what
+    /// [`Writer::attribute_values`] must produce for the same contents.
+    fn encode_model(model: &BTreeMap<AttributeId, Value>) -> Vec<u8> {
+        let mut buf = Vec::new();
+        let mut w = Writer::new(&mut buf);
+        w.u16(model.len() as u16);
+        for (id, value) in model {
+            w.u16(id.0).value(value);
+        }
+        buf
+    }
+
+    proptest! {
+        #[test]
+        fn attribute_values_behave_like_an_ordered_map(
+            ops in proptest::collection::vec((0u16..24, 0u8..6, any::<u32>()), 0..48)
+        ) {
+            let mut record = AttributeValues::new();
+            let mut model = BTreeMap::new();
+            for &(id, tag, x) in &ops {
+                let id = AttributeId(id);
+                prop_assert_eq!(record.insert(id, value_of(tag, x)), model.insert(id, value_of(tag, x)));
+            }
+            let pairs: Vec<(AttributeId, &Value)> = record.iter().collect();
+            let expected: Vec<(AttributeId, &Value)> = model.iter().map(|(k, v)| (*k, v)).collect();
+            prop_assert_eq!(pairs, expected);
+            prop_assert_eq!(record.len(), model.len());
+            for id in (0..26).map(AttributeId) {
+                prop_assert_eq!(record.get(&id), model.get(&id));
+            }
+            let mut buf = Vec::new();
+            Writer::new(&mut buf).attribute_values(&record);
+            prop_assert_eq!(&buf, &encode_model(&model));
+            prop_assert_eq!(&Reader::new(&buf).attribute_values().unwrap(), &record);
+            // A peer may send ids out of order or repeated; decoding keeps the
+            // last value of each id, in ascending order, like the map does.
+            let mut raw = Vec::new();
+            let mut w = Writer::new(&mut raw);
+            w.u16(ops.len() as u16);
+            for &(id, tag, x) in &ops {
+                w.u16(id).value(&value_of(tag, x));
+            }
+            prop_assert_eq!(Reader::new(&raw).attribute_values().unwrap(), record);
+        }
+    }
+
+    /// A record of `Bool` attributes with the ids and values in the order given.
+    fn bool_record(entries: impl IntoIterator<Item = (u16, bool)>) -> Vec<u8> {
+        let entries: Vec<_> = entries.into_iter().collect();
+        let mut buf = Vec::new();
+        let mut w = Writer::new(&mut buf);
+        w.u16(entries.len() as u16);
+        for (id, b) in entries {
+            w.u16(id).value(&Value::Bool(b));
+        }
+        buf
+    }
+
+    /// The shortest of a few runs of `f`, for comparing the cost of two
+    /// inputs within one test.
+    fn fastest(runs: usize, f: impl Fn()) -> Duration {
+        (0..runs)
+            .map(|_| {
+                // audit:allow(wall-clock): a test-only cost ratio; no report reads it.
+                let start = std::time::Instant::now();
+                f();
+                // audit:allow(wall-clock): a test-only cost ratio; no report reads it.
+                start.elapsed()
+            })
+            .min()
+            .expect("at least one run")
+    }
+
+    #[test]
+    fn decoding_a_full_datagram_of_descending_ids_is_not_quadratic() {
+        // 16,000 `Bool` entries of 4 bytes: about what one 65,507-byte
+        // datagram holds.
+        const N: u16 = 16_000;
+        // 8,000 ids, each sent twice in descending order: false, then true.
+        let repeated = bool_record((0..N / 2).rev().flat_map(|id| [(id, false), (id, true)]));
+        assert!(repeated.len() <= 65_507);
+        let decoded = Reader::new(&repeated).attribute_values().unwrap();
+        assert_eq!(decoded.len(), usize::from(N / 2));
+        for (i, (id, value)) in decoded.iter().enumerate() {
+            assert_eq!((usize::from(id.0), value), (i, &Value::Bool(true)));
+        }
+
+        // Decoding descending ids costs about what decoding ascending ones does.
+        let decode = |buf: &[u8]| {
+            std::hint::black_box(Reader::new(buf).attribute_values().unwrap());
+        };
+        let ascending = bool_record((0..N).map(|id| (id, true)));
+        let descending = bool_record((0..N).rev().map(|id| (id, true)));
+        let base = fastest(5, || decode(&ascending));
+        let reversed = fastest(5, || decode(&descending));
+        assert!(reversed < base * 10, "descending {reversed:?} vs ascending {base:?}");
+
+        // The control: one `insert` per entry in descending order, which
+        // shifts the whole record each time, is caught by the same bound.
+        let inserted = fastest(3, || {
+            let mut record = AttributeValues::with_capacity(usize::from(N));
+            for id in (0..N).rev() {
+                record.insert(AttributeId(id), Value::Bool(true));
+            }
+            std::hint::black_box(record);
+        });
+        assert!(inserted > base * 10, "inserting {inserted:?} vs decoding {base:?}");
+    }
+
+    #[test]
+    fn decoding_unsorted_and_repeated_ids_keeps_the_last_value() {
+        let mut buf = Vec::new();
+        let mut w = Writer::new(&mut buf);
+        w.u16(3).u16(7).value(&Value::U32(1)).u16(2).value(&Value::U32(2));
+        w.u16(7).value(&Value::U32(3));
+        let decoded = Reader::new(&buf).attribute_values().unwrap();
+        let pairs: Vec<_> = decoded.iter().collect();
+        assert_eq!(pairs, vec![(AttributeId(2), &Value::U32(2)), (AttributeId(7), &Value::U32(3))]);
+    }
 
     #[test]
     fn primitive_roundtrip() {
-        let mut w = Writer::new();
-        w.u8(7)
+        let mut buf = Vec::new();
+        Writer::new(&mut buf)
+            .u8(7)
             .u16(300)
             .u32(70_000)
             .u64(1 << 40)
             .f64(-2.5)
             .string("crane")
             .addr(Addr::new(NodeId(3), Port(9)));
-        let buf = w.finish();
         let mut r = Reader::new(&buf);
         assert_eq!(r.u8().unwrap(), 7);
         assert_eq!(r.u16().unwrap(), 300);
@@ -263,11 +401,11 @@ mod tests {
             Value::Text("lift the cargo".to_owned()),
             Value::Bytes(vec![0, 1, 2, 255]),
         ];
-        let mut w = Writer::new();
+        let mut buf = Vec::new();
+        let mut w = Writer::new(&mut buf);
         for v in &values {
             w.value(v);
         }
-        let buf = w.finish();
         let mut r = Reader::new(&buf);
         for v in &values {
             assert_eq!(&r.value().unwrap(), v);
@@ -280,18 +418,16 @@ mod tests {
         values.insert(AttributeId(0), Value::F64(1.25));
         values.insert(AttributeId(3), Value::Vec3([0.0, 9.8, 0.0]));
         values.insert(AttributeId(7), Value::Text("ok".into()));
-        let mut w = Writer::new();
-        w.attribute_values(&values);
-        let buf = w.finish();
+        let mut buf = Vec::new();
+        Writer::new(&mut buf).attribute_values(&values);
         let decoded = Reader::new(&buf).attribute_values().unwrap();
         assert_eq!(decoded, values);
     }
 
     #[test]
     fn truncated_message_is_a_codec_error() {
-        let mut w = Writer::new();
-        w.u64(99);
-        let buf = w.finish();
+        let mut buf = Vec::new();
+        Writer::new(&mut buf).u64(99);
         let mut r = Reader::new(&buf[..4]);
         assert!(matches!(r.u64(), Err(CbError::Codec(_))));
     }
@@ -305,9 +441,8 @@ mod tests {
 
     #[test]
     fn invalid_utf8_is_an_error() {
-        let mut w = Writer::new();
-        w.bytes(&[0xff, 0xfe]);
-        let buf = w.finish();
+        let mut buf = Vec::new();
+        Writer::new(&mut buf).bytes(&[0xff, 0xfe]);
         assert!(matches!(Reader::new(&buf).string(), Err(CbError::Codec(_))));
     }
 }

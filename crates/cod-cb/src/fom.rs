@@ -8,7 +8,6 @@
 
 use crate::error::CbError;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Identifies an object class declared in the FOM.
@@ -103,7 +102,94 @@ impl fmt::Display for Value {
 
 /// A set of attribute values keyed by attribute id — the payload of an
 /// *Update Attribute Values* / *Reflect Attribute Values* exchange.
-pub type AttributeValues = BTreeMap<AttributeId, Value>;
+///
+/// A flat record: one vector of `(id, value)` pairs kept in ascending id
+/// order with no id repeated. [`AttributeValues::insert`] replaces the value
+/// of an id that is already present, and [`AttributeValues::iter`] yields the
+/// pairs in ascending id order, which is the order they go on the wire.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct AttributeValues(Vec<(AttributeId, Value)>);
+
+impl AttributeValues {
+    /// Creates an empty record.
+    pub fn new() -> AttributeValues {
+        AttributeValues(Vec::new())
+    }
+
+    /// Creates an empty record with room for `capacity` attributes.
+    pub fn with_capacity(capacity: usize) -> AttributeValues {
+        AttributeValues(Vec::with_capacity(capacity))
+    }
+
+    /// Builds a record from `pairs` in any order; where an id repeats, the
+    /// last of its values wins, as with repeated [`AttributeValues::insert`].
+    ///
+    /// Pairs that arrive in ascending id order are kept as they are; any
+    /// other order costs one stable sort, so no input makes this quadratic.
+    pub(crate) fn from_pairs(mut pairs: Vec<(AttributeId, Value)>) -> AttributeValues {
+        if !pairs.windows(2).all(|w| w[0].0 < w[1].0) {
+            pairs.sort_by_key(|(id, _)| *id);
+            // `dedup_by` keeps the first of a run of equal ids: move each
+            // later value into it before the later pair is dropped.
+            pairs.dedup_by(|later, kept| {
+                let same = later.0 == kept.0;
+                if same {
+                    std::mem::swap(&mut later.1, &mut kept.1);
+                }
+                same
+            });
+        }
+        AttributeValues(pairs)
+    }
+
+    /// Sets the value of `id`, returning the value it replaces, if any.
+    pub fn insert(&mut self, id: AttributeId, value: Value) -> Option<Value> {
+        match self.0.binary_search_by_key(&id, |(k, _)| *k) {
+            Ok(i) => Some(std::mem::replace(&mut self.0[i].1, value)),
+            Err(i) => {
+                self.0.insert(i, (id, value));
+                None
+            }
+        }
+    }
+
+    /// The value of `id`, if present.
+    pub fn get(&self, id: &AttributeId) -> Option<&Value> {
+        self.0.binary_search_by_key(id, |(k, _)| *k).ok().map(|i| &self.0[i].1)
+    }
+
+    /// Number of attributes in the record.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether the record is empty.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The `(id, value)` pairs in ascending id order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (AttributeId, &Value)> {
+        self.0.iter().map(|(k, v)| (*k, v))
+    }
+}
+
+impl std::ops::Index<&AttributeId> for AttributeValues {
+    type Output = Value;
+
+    /// # Panics
+    ///
+    /// Panics if `id` is not in the record.
+    fn index(&self, id: &AttributeId) -> &Value {
+        self.get(id).unwrap_or_else(|| panic!("attribute {} not in the record", id.0))
+    }
+}
+
+impl<const N: usize> From<[(AttributeId, Value); N]> for AttributeValues {
+    fn from(pairs: [(AttributeId, Value); N]) -> AttributeValues {
+        AttributeValues::from_pairs(Vec::from(pairs))
+    }
+}
 
 /// Declaration of one object class.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]

@@ -8,15 +8,17 @@
 //! never need to know where their peers run.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::ops::Range;
 
 use crate::channel::{ChannelId, ChannelRole, ChannelTable, VirtualChannel};
+use crate::codec::Writer;
 use crate::error::CbError;
 use crate::fom::{AttributeValues, ClassRegistry, InteractionClassId, ObjectClassId};
 use crate::protocol::PendingSubscription;
 use crate::stats::CbStats;
 use crate::tables::{PublicationTable, SubscriptionTable};
-use crate::wire::WireMessage;
-use cod_net::{Addr, Destination, Micros, Transport};
+use crate::wire::{write_update, WireMessage};
+use cod_net::{Addr, Datagram, Destination, Micros, Transport};
 use serde::{Deserialize, Serialize};
 
 /// Identifies a Logical Process cluster-wide.
@@ -101,6 +103,41 @@ impl Default for CbConfig {
     }
 }
 
+/// Wire messages queued for the next flush, encoded back to back into one
+/// buffer that is reused from tick to tick.
+#[derive(Debug, Default)]
+struct Outbox {
+    bytes: Vec<u8>,
+    messages: Vec<(Destination, Range<usize>)>,
+}
+
+impl Outbox {
+    fn push(&mut self, dst: Destination, msg: &WireMessage) {
+        let start = self.bytes.len();
+        msg.encode_into(&mut self.bytes);
+        self.messages.push((dst, start..self.bytes.len()));
+    }
+
+    fn push_update(
+        &mut self,
+        remote: Addr,
+        channel: ChannelId,
+        object: ObjectId,
+        class: ObjectClassId,
+        timestamp: Micros,
+        values: &AttributeValues,
+    ) {
+        let start = self.bytes.len();
+        write_update(&mut Writer::new(&mut self.bytes), channel, object, class, timestamp, values);
+        self.messages.push((Destination::Unicast(remote), start..self.bytes.len()));
+    }
+
+    fn clear(&mut self) {
+        self.bytes.clear();
+        self.messages.clear();
+    }
+}
+
 #[derive(Debug)]
 struct LocalLp {
     name: String,
@@ -128,7 +165,9 @@ pub struct CbKernel<T: Transport> {
     objects: BTreeMap<ObjectId, (LpId, ObjectClassId)>,
     channel_time_bounds: BTreeMap<ChannelId, Micros>,
     connect_last_sent: BTreeMap<ChannelId, Micros>,
-    outbox: Vec<(Destination, WireMessage)>,
+    outbox: Outbox,
+    /// Receive buffer reused by every [`CbKernel::tick`].
+    inbox: Vec<Datagram>,
     stats: CbStats,
 }
 
@@ -158,7 +197,8 @@ impl<T: Transport> CbKernel<T> {
             objects: BTreeMap::new(),
             channel_time_bounds: BTreeMap::new(),
             connect_last_sent: BTreeMap::new(),
-            outbox: Vec::new(),
+            outbox: Outbox::default(),
+            inbox: Vec::new(),
             stats: CbStats::default(),
         }
     }
@@ -276,7 +316,7 @@ impl<T: Transport> CbKernel<T> {
         self.pending.retain(|p| p.lp != lp);
         self.channels.remove_for_lp(lp);
         self.objects.retain(|_, (owner, _)| *owner != lp);
-        self.outbox.push((Destination::Broadcast(self.addr.port), WireMessage::Withdraw { lp }));
+        self.outbox.push(Destination::Broadcast(self.addr.port), &WireMessage::Withdraw { lp });
         Ok(())
     }
 
@@ -382,9 +422,10 @@ impl<T: Transport> CbKernel<T> {
         // Local routing: co-resident subscribers get the reflection without
         // touching the network (paper §2.1: "no matter that the corresponded
         // LP is in the same machine or across network").
-        let local_subscribers: Vec<LpId> =
-            self.subscriptions.subscribers_of(class).into_iter().filter(|s| *s != lp).collect();
-        for sub in local_subscribers {
+        for sub in self.subscriptions.subscribers_of(class) {
+            if sub == lp {
+                continue;
+            }
             if let Some(entry) = self.lps.get_mut(&sub) {
                 entry.reflections.push_back(Reflection {
                     object,
@@ -398,20 +439,10 @@ impl<T: Transport> CbKernel<T> {
             }
         }
 
-        // Remote routing: push over every established outgoing channel.
-        let outgoing: Vec<(ChannelId, Addr)> =
-            self.channels.outgoing(lp, class).into_iter().map(|c| (c.id, c.remote_cb)).collect();
-        for (channel, remote) in outgoing {
-            self.outbox.push((
-                Destination::Unicast(remote),
-                WireMessage::UpdateAttributes {
-                    channel,
-                    object,
-                    class,
-                    timestamp,
-                    values: values.clone(),
-                },
-            ));
+        // Remote routing: push over every established outgoing channel. The
+        // record is encoded straight from `values`, once per channel.
+        for vc in self.channels.outgoing(lp, class) {
+            self.outbox.push_update(vc.remote_cb, vc.id, object, class, timestamp, &values);
             self.stats.updates_sent_remote += 1;
         }
         Ok(())
@@ -443,10 +474,10 @@ impl<T: Transport> CbKernel<T> {
                 self.stats.interactions_delivered += 1;
             }
         }
-        self.outbox.push((
+        self.outbox.push(
             Destination::Broadcast(self.addr.port),
-            WireMessage::Interaction { class, sender_lp: lp, timestamp, parameters },
-        ));
+            &WireMessage::Interaction { class, sender_lp: lp, timestamp, parameters },
+        );
         Ok(())
     }
 
@@ -474,17 +505,13 @@ impl<T: Transport> CbKernel<T> {
     /// Returns an error if the LP is unknown.
     pub fn send_null_messages(&mut self, lp: LpId, lower_bound: Micros) -> Result<(), CbError> {
         self.check_lp(lp)?;
-        let targets: Vec<(ChannelId, Addr)> = self
-            .channels
-            .iter()
-            .filter(|c| c.established && c.role == ChannelRole::Publisher && c.publisher_lp == lp)
-            .map(|c| (c.id, c.remote_cb))
-            .collect();
-        for (channel, remote) in targets {
-            self.outbox.push((
-                Destination::Unicast(remote),
-                WireMessage::NullMessage { channel, time: lower_bound },
-            ));
+        for vc in self.channels.iter() {
+            if vc.established && vc.role == ChannelRole::Publisher && vc.publisher_lp == lp {
+                self.outbox.push(
+                    Destination::Unicast(vc.remote_cb),
+                    &WireMessage::NullMessage { channel: vc.id, time: lower_bound },
+                );
+            }
         }
         Ok(())
     }
@@ -500,13 +527,16 @@ impl<T: Transport> CbKernel<T> {
     /// # Errors
     ///
     /// Returns an error if the transport fails. Malformed datagrams are counted
-    /// in the statistics but do not abort the tick.
+    /// in the statistics but do not abort the tick. When a send fails, the
+    /// messages queued behind it are dropped rather than retried on the next
+    /// tick.
     pub fn tick(&mut self, now: Micros) -> Result<(), CbError> {
         self.now = now;
 
         // 1. Receive.
-        let datagrams = self.transport.poll()?;
-        for dgram in datagrams {
+        let mut inbox = std::mem::take(&mut self.inbox);
+        let polled = self.transport.poll(&mut inbox);
+        for dgram in inbox.drain(..) {
             match WireMessage::decode(&dgram.payload) {
                 Ok(msg) => {
                     self.stats.wire_messages_received += 1;
@@ -517,67 +547,66 @@ impl<T: Transport> CbKernel<T> {
                 }
             }
         }
+        self.inbox = inbox;
+        polled?;
 
         // 2. Initialization-protocol timers: broadcast due subscriptions.
         let interval = self.config.subscription_broadcast_interval;
         let readvertise = self.config.readvertise_interval;
         let cb_addr = self.addr;
-        let mut broadcasts = Vec::new();
         for pending in self.pending.iter_mut() {
             // A co-resident publisher already serves the subscription; keep the
             // broadcast only at the slow re-advertisement pace so late remote
             // publishers can still be discovered.
             pending.locally_matched =
-                self.publications.publishers_of(pending.class).iter().any(|p| *p != pending.lp);
+                self.publications.publishers_of(pending.class).any(|p| p != pending.lp);
             if pending.broadcast_due(now, interval, readvertise) {
                 pending.record_broadcast(now);
-                broadcasts.push(WireMessage::Subscription {
-                    subscriber_cb: cb_addr,
-                    subscriber_lp: pending.lp,
-                    class: pending.class,
-                });
+                self.stats.subscription_broadcasts += 1;
+                self.outbox.push(
+                    Destination::Broadcast(cb_addr.port),
+                    &WireMessage::Subscription {
+                        subscriber_cb: cb_addr,
+                        subscriber_lp: pending.lp,
+                        class: pending.class,
+                    },
+                );
             }
-        }
-        for msg in broadcasts {
-            self.stats.subscription_broadcasts += 1;
-            self.outbox.push((Destination::Broadcast(self.addr.port), msg));
         }
 
         // 2b. Retransmit CHANNEL CONNECTION for half-open subscriber-side
         // channels (the LAN may have lost either the connection request or the
         // confirming acknowledgement).
-        let mut retries = Vec::new();
         for vc in self.channels.iter() {
             if vc.role != ChannelRole::Subscriber || vc.established {
                 continue;
             }
             let last = self.connect_last_sent.get(&vc.id).copied().unwrap_or(Micros::ZERO);
             if now.saturating_sub(last) >= interval {
-                retries.push((
-                    vc.remote_cb,
-                    WireMessage::ChannelConnection {
+                self.connect_last_sent.insert(vc.id, now);
+                self.outbox.push(
+                    Destination::Unicast(vc.remote_cb),
+                    &WireMessage::ChannelConnection {
                         channel: vc.id,
                         subscriber_cb: cb_addr,
                         subscriber_lp: vc.subscriber_lp,
                         publisher_lp: vc.publisher_lp,
                         class: vc.class,
                     },
-                ));
+                );
             }
-        }
-        for (remote, msg) in retries {
-            if let WireMessage::ChannelConnection { channel, .. } = &msg {
-                self.connect_last_sent.insert(*channel, now);
-            }
-            self.outbox.push((Destination::Unicast(remote), msg));
         }
 
-        // 3. Flush.
-        let outbox = std::mem::take(&mut self.outbox);
-        for (dst, msg) in outbox {
-            self.transport.send(dst, &msg.encode())?;
+        // 3. Flush. A failed send drops the rest of the outbox with it.
+        let mut sent = Ok(());
+        for (dst, range) in &self.outbox.messages {
+            sent = self.transport.send(*dst, &self.outbox.bytes[range.clone()]);
+            if sent.is_err() {
+                break;
+            }
         }
-        Ok(())
+        self.outbox.clear();
+        Ok(sent?)
     }
 
     fn handle_wire_message(&mut self, msg: WireMessage, _from: Addr) {
@@ -586,16 +615,15 @@ impl<T: Transport> CbKernel<T> {
                 if subscriber_cb == self.addr {
                     return;
                 }
-                let publishers = self.publications.publishers_of(class);
-                for publisher_lp in publishers {
+                for publisher_lp in self.publications.publishers_of(class) {
                     if self.channels.has_equivalent(publisher_lp, subscriber_lp, class) {
                         continue;
                     }
                     self.stats.acknowledges_sent += 1;
-                    self.outbox.push((
+                    self.outbox.push(
                         Destination::Unicast(subscriber_cb),
-                        WireMessage::Acknowledge { publisher_cb: self.addr, publisher_lp, class },
-                    ));
+                        &WireMessage::Acknowledge { publisher_cb: self.addr, publisher_lp, class },
+                    );
                 }
             }
             WireMessage::Acknowledge { publisher_cb, publisher_lp, class } => {
@@ -622,16 +650,16 @@ impl<T: Transport> CbKernel<T> {
                     });
                 }
                 for vc in new_channels {
-                    self.outbox.push((
+                    self.outbox.push(
                         Destination::Unicast(publisher_cb),
-                        WireMessage::ChannelConnection {
+                        &WireMessage::ChannelConnection {
                             channel: vc.id,
                             subscriber_cb: self.addr,
                             subscriber_lp: vc.subscriber_lp,
                             publisher_lp: vc.publisher_lp,
                             class: vc.class,
                         },
-                    ));
+                    );
                     self.connect_last_sent.insert(vc.id, self.now);
                     self.channels.insert(vc);
                 }
@@ -660,10 +688,10 @@ impl<T: Transport> CbKernel<T> {
                     });
                     self.stats.channels_established += 1;
                 }
-                self.outbox.push((
+                self.outbox.push(
                     Destination::Unicast(subscriber_cb),
-                    WireMessage::ChannelAck { channel },
-                ));
+                    &WireMessage::ChannelAck { channel },
+                );
             }
             WireMessage::ChannelAck { channel } => {
                 self.connect_last_sent.remove(&channel);
@@ -996,6 +1024,71 @@ mod tests {
         cluster.run(&mut [&mut publisher, &mut subscriber], 5);
         let channel = subscriber.incoming_channels(visual)[0];
         assert_eq!(subscriber.channel_time_bound(channel), Some(Micros(500_000)));
+    }
+
+    /// A transport that logs every payload it sends and fails its
+    /// `fail_at`-th send (counting from 1).
+    struct FailingTransport {
+        sent: std::sync::Arc<std::sync::Mutex<Vec<Vec<u8>>>>,
+        sends: usize,
+        fail_at: usize,
+    }
+
+    impl Transport for FailingTransport {
+        fn send(&mut self, _dst: Destination, payload: &[u8]) -> Result<(), cod_net::NetError> {
+            self.sends += 1;
+            if self.sends == self.fail_at {
+                return Err(cod_net::NetError::Disconnected);
+            }
+            self.sent.lock().expect("test log lock").push(payload.to_vec());
+            Ok(())
+        }
+
+        fn poll(&mut self, _out: &mut Vec<cod_net::Datagram>) -> Result<(), cod_net::NetError> {
+            Ok(())
+        }
+
+        fn local_addr(&self) -> Addr {
+            Addr::new(cod_net::NodeId(0), cod_net::Port(1))
+        }
+    }
+
+    #[test]
+    fn a_failed_send_drops_the_rest_of_the_outbox() {
+        let (fom, _, collision) = crane_fom();
+        let location = fom.parameter_id(collision, "location").unwrap();
+        let sent = std::sync::Arc::default();
+        let transport =
+            FailingTransport { sent: std::sync::Arc::clone(&sent), sends: 0, fail_at: 2 };
+        let mut kernel = CbKernel::new(transport, fom);
+        let lp = kernel.register_lp("dynamics");
+        let parameters =
+            |x: f64| -> AttributeValues { [(location, Value::Vec3([x, 0.0, 0.0]))].into() };
+        let encoded = |x: f64| {
+            let parameters = parameters(x);
+            WireMessage::Interaction {
+                class: collision,
+                sender_lp: lp,
+                timestamp: Micros(7),
+                parameters,
+            }
+            .encode()
+        };
+        for x in [1.0, 2.0, 3.0] {
+            kernel.send_interaction(lp, collision, parameters(x), Micros(7)).unwrap();
+        }
+
+        // The second send fails: the tick reports it, and the third message,
+        // queued behind it, is dropped with it.
+        assert!(matches!(kernel.tick(Micros(10)), Err(CbError::Net(_))));
+        assert_eq!(*sent.lock().unwrap(), vec![encoded(1.0)]);
+
+        // Nothing stale goes out on the next ticks, only what is queued anew.
+        kernel.tick(Micros(20)).unwrap();
+        assert_eq!(sent.lock().unwrap().len(), 1);
+        kernel.send_interaction(lp, collision, parameters(4.0), Micros(7)).unwrap();
+        kernel.tick(Micros(30)).unwrap();
+        assert_eq!(*sent.lock().unwrap(), vec![encoded(1.0), encoded(4.0)]);
     }
 
     #[test]

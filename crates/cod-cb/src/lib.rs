@@ -26,6 +26,16 @@
 //!   distributed-simulation scheme of Chandy & Misra referenced by the paper,
 //!   implemented as lookahead plus null messages.
 //!
+//! # Attribute records
+//!
+//! The state an update carries is an [`AttributeValues`] record: a flat list
+//! of `(AttributeId, Value)` pairs kept in ascending id order with no id
+//! repeated. [`AttributeValues::insert`] replaces the value of an id that is
+//! already present, and the wire format ([`wire`], [`codec`]) writes a record
+//! in ascending id order, so the bytes of a record depend only on its
+//! contents. A record decoded from a peer that sends ids out of order or
+//! repeated keeps the last value of each id, in ascending order.
+//!
 //! # A two-computer quickstart
 //!
 //! ```

@@ -57,9 +57,9 @@ impl PublicationTable {
         self.entries.contains(&PublicationEntry { lp, class })
     }
 
-    /// Every local LP that publishes `class`.
-    pub fn publishers_of(&self, class: ObjectClassId) -> Vec<LpId> {
-        self.entries.iter().filter(|e| e.class == class).map(|e| e.lp).collect()
+    /// Every local LP that publishes `class`, in ascending LP order.
+    pub fn publishers_of(&self, class: ObjectClassId) -> impl Iterator<Item = LpId> + '_ {
+        self.entries.iter().filter(move |e| e.class == class).map(|e| e.lp)
     }
 
     /// Iterates over all entries.
@@ -107,9 +107,9 @@ impl SubscriptionTable {
         self.entries.contains(&SubscriptionEntry { lp, class })
     }
 
-    /// Every local LP subscribed to `class`.
-    pub fn subscribers_of(&self, class: ObjectClassId) -> Vec<LpId> {
-        self.entries.iter().filter(|e| e.class == class).map(|e| e.lp).collect()
+    /// Every local LP subscribed to `class`, in ascending LP order.
+    pub fn subscribers_of(&self, class: ObjectClassId) -> impl Iterator<Item = LpId> + '_ {
+        self.entries.iter().filter(move |e| e.class == class).map(|e| e.lp)
     }
 
     /// Iterates over all entries.
@@ -141,9 +141,7 @@ mod tests {
         assert!(t.insert(LpId(1), ObjectClassId(1)));
         assert!(t.publishes(LpId(1), ObjectClassId(0)));
         assert!(!t.publishes(LpId(2), ObjectClassId(1)));
-        let mut pubs = t.publishers_of(ObjectClassId(0));
-        pubs.sort();
-        assert_eq!(pubs, vec![LpId(1), LpId(2)]);
+        assert_eq!(t.publishers_of(ObjectClassId(0)).collect::<Vec<_>>(), vec![LpId(1), LpId(2)]);
         assert_eq!(t.len(), 3);
     }
 
@@ -156,6 +154,6 @@ mod tests {
         assert_eq!(t.remove_lp(LpId(1)), 2);
         assert_eq!(t.len(), 1);
         assert!(t.subscribes(LpId(2), ObjectClassId(0)));
-        assert_eq!(t.subscribers_of(ObjectClassId(1)), Vec::<LpId>::new());
+        assert_eq!(t.subscribers_of(ObjectClassId(1)).count(), 0);
     }
 }

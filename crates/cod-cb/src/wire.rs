@@ -101,10 +101,36 @@ const TAG_INTERACTION: u8 = 6;
 const TAG_NULL: u8 = 7;
 const TAG_WITHDRAW: u8 = 8;
 
+/// Writes an [`WireMessage::UpdateAttributes`] built from borrowed parts, so
+/// a publisher pushing one record over several channels never clones it.
+pub(crate) fn write_update(
+    w: &mut Writer<'_>,
+    channel: ChannelId,
+    object: ObjectId,
+    class: ObjectClassId,
+    timestamp: Micros,
+    values: &AttributeValues,
+) {
+    w.u8(TAG_UPDATE)
+        .u64(channel.0)
+        .u64(object.0)
+        .u16(class.0)
+        .micros(timestamp)
+        .attribute_values(values);
+}
+
 impl WireMessage {
-    /// Encodes the message into a datagram payload.
+    /// Encodes the message into a new datagram payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
+        let mut buf = Vec::with_capacity(128);
+        self.encode_into(&mut buf);
+        buf
+    }
+
+    /// Appends the encoded message to `buf`; the bytes are the same as
+    /// [`WireMessage::encode`]'s.
+    pub fn encode_into(&self, buf: &mut Vec<u8>) {
+        let mut w = Writer::new(buf);
         match self {
             WireMessage::Subscription { subscriber_cb, subscriber_lp, class } => {
                 w.u8(TAG_SUBSCRIPTION).addr(*subscriber_cb).u64(subscriber_lp.0).u16(class.0);
@@ -130,12 +156,7 @@ impl WireMessage {
                 w.u8(TAG_CHANNEL_ACK).u64(channel.0);
             }
             WireMessage::UpdateAttributes { channel, object, class, timestamp, values } => {
-                w.u8(TAG_UPDATE)
-                    .u64(channel.0)
-                    .u64(object.0)
-                    .u16(class.0)
-                    .micros(*timestamp)
-                    .attribute_values(values);
+                write_update(&mut w, *channel, *object, *class, *timestamp, values);
             }
             WireMessage::Interaction { class, sender_lp, timestamp, parameters } => {
                 w.u8(TAG_INTERACTION)
@@ -151,7 +172,6 @@ impl WireMessage {
                 w.u8(TAG_WITHDRAW).u64(lp.0);
             }
         }
-        w.finish()
     }
 
     /// Decodes a message from a datagram payload.
@@ -254,6 +274,57 @@ mod tests {
             WireMessage::NullMessage { channel: ChannelId(1), time: Micros(99) },
             WireMessage::Withdraw { lp: LpId(3) },
         ]
+    }
+
+    /// The encoding of each [`all_samples`] message, in order. These bytes are
+    /// the wire format: a change here breaks every peer speaking the old one.
+    const GOLDEN: [&str; 8] = [
+        "010002000100000002000000010004",
+        "0200050001000000000000004d0004",
+        "030000000000000009000200010000000000000003000000000000004d0004",
+        "040000000000000009",
+        "050000000000000009000000000000000c0004000000000001e24000030000033ff0000000000000\
+         400000000000000040080000000000000001023fd000000000000000020001",
+        "0600020000000000000003000000000000003200030000033ff00000000000004000000000000000\
+         40080000000000000001023fd000000000000000020001",
+        "0700000000000000010000000000000063",
+        "080000000000000003",
+    ];
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    fn unhex(text: &str) -> Vec<u8> {
+        (0..text.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&text[i..i + 2], 16).expect("golden strings are hex"))
+            .collect()
+    }
+
+    #[test]
+    fn every_variant_encodes_to_its_golden_bytes() {
+        for (msg, golden) in all_samples().iter().zip(GOLDEN) {
+            assert_eq!(hex(&msg.encode()), golden, "{msg:?}");
+            assert_eq!(&WireMessage::decode(&unhex(golden)).unwrap(), msg);
+            // `encode_into` appends the same bytes behind what the buffer holds.
+            let mut buf = vec![0xAA];
+            msg.encode_into(&mut buf);
+            assert_eq!(hex(&buf[1..]), golden);
+        }
+    }
+
+    #[test]
+    fn golden_check_catches_a_one_byte_edit() {
+        for (msg, golden) in all_samples().iter().zip(GOLDEN) {
+            let encoded = hex(&msg.encode());
+            let mut bytes = unhex(golden);
+            for i in 0..bytes.len() {
+                bytes[i] ^= 0x01;
+                assert_ne!(encoded, hex(&bytes), "edit of byte {i} of {msg:?} went unnoticed");
+                bytes[i] ^= 0x01;
+            }
+        }
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! The cluster executive: a deterministic frame-driven driver for the COD.
 
+use std::sync::Arc;
+
 use cod_cb::{CbError, ClassRegistry, LpId};
 use cod_net::{FaultPlan, LanConfig, LanStats, Micros, SharedLan, SimLan};
 use serde::{Deserialize, Serialize};
@@ -66,8 +68,9 @@ pub struct FrameRecord {
     pub frame: u64,
     /// Simulation time at the *end* of the frame.
     pub now: Micros,
-    /// Modeled CPU cost of the frame on each computer, in rack order.
-    pub costs: Vec<(String, Micros)>,
+    /// Modeled CPU cost of the frame on each computer, in rack order, with
+    /// the computer's name shared rather than copied each frame.
+    pub costs: Vec<(Arc<str>, Micros)>,
 }
 
 /// The Cluster Of Desktop computers: computers + LAN + executive loop.
@@ -239,7 +242,7 @@ impl Cluster {
         let mut costs = Vec::with_capacity(self.computers.len());
         for computer in self.computers.iter_mut() {
             let cost = computer.step_frame(self.now, dt)?;
-            costs.push((computer.name().to_owned(), cost));
+            costs.push((computer.shared_name(), cost));
         }
         self.now += self.config.frame_period;
         SimLan::advance_to(&self.lan, self.now);
@@ -418,7 +421,7 @@ mod tests {
         let first = cluster.run_frame().unwrap();
         assert_eq!(first.frame, 0);
         assert_eq!(first.costs.len(), 1);
-        assert_eq!(first.costs[0], ("producer-pc".to_owned(), Micros::from_millis(5)));
+        assert_eq!(first.costs[0], (Arc::from("producer-pc"), Micros::from_millis(5)));
         let second = cluster.run_frame().unwrap();
         assert_eq!(second.frame, 1);
         assert_eq!(second.now, cluster.now());

@@ -1,5 +1,7 @@
 //! One desktop computer of the cluster.
 
+use std::sync::Arc;
+
 use cod_cb::{CbError, CbKernel, ClassRegistry, LpContext, LpId};
 use cod_net::{Micros, SimTransport};
 
@@ -12,7 +14,7 @@ use crate::lp::LogicalProcess;
 /// load of each LP" (paper §2.1).
 #[derive(Debug)]
 pub struct Computer {
-    name: String,
+    name: Arc<str>,
     kernel: CbKernel<SimTransport>,
     lps: Vec<(LpId, Box<dyn LogicalProcess>)>,
     /// Relative CPU speed: 1.0 is the reference desktop PC; larger is faster.
@@ -29,7 +31,7 @@ impl Computer {
     /// Creates a computer around a transport already attached to the cluster LAN.
     pub fn new(name: &str, transport: SimTransport, fom: ClassRegistry) -> Computer {
         Computer {
-            name: name.to_owned(),
+            name: Arc::from(name),
             kernel: CbKernel::new(transport, fom),
             lps: Vec::new(),
             cpu_speed: 1.0,
@@ -49,6 +51,11 @@ impl Computer {
     /// The computer's name.
     pub fn name(&self) -> &str {
         &self.name
+    }
+
+    /// The computer's name as a shared handle, cloned without allocating.
+    pub fn shared_name(&self) -> Arc<str> {
+        Arc::clone(&self.name)
     }
 
     /// The relative CPU speed.

@@ -3,6 +3,7 @@
 use cod_net::Micros;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Per-computer accounting for one executed frame.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -34,12 +35,18 @@ pub struct ClusterMetrics {
 
 impl ClusterMetrics {
     /// Records one frame's per-computer costs.
-    pub fn record_frame(&mut self, dt: Micros, costs: &[(String, Micros)]) {
+    pub fn record_frame(&mut self, dt: Micros, costs: &[(Arc<str>, Micros)]) {
         self.frames_run += 1;
         self.simulated_time += dt;
         let mut sequential = Micros::ZERO;
         for (name, cost) in costs {
-            *self.computer_cost.entry(name.clone()).or_default() += *cost;
+            // Look up before inserting: only a computer's first frame copies its name.
+            match self.computer_cost.get_mut(&**name) {
+                Some(total) => *total += *cost,
+                None => {
+                    self.computer_cost.insert(name.to_string(), *cost);
+                }
+            }
             if *cost > self.max_frame_cost {
                 self.max_frame_cost = *cost;
             }

@@ -129,8 +129,11 @@ impl Json {
     }
 
     /// Parses a JSON document, requiring it to span the whole input.
+    ///
+    /// Arrays and objects may nest at most [`MAX_DEPTH`] deep; deeper input
+    /// is an error rather than a stack overflow.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
-        let mut parser = Parser { bytes: input.as_bytes(), pos: 0 };
+        let mut parser = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
         parser.skip_whitespace();
         let value = parser.parse_value()?;
         parser.skip_whitespace();
@@ -192,9 +195,15 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts. The
+/// parser recurses once per level, so the limit bounds its stack use.
+pub const MAX_DEPTH: usize = 256;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -227,8 +236,19 @@ impl Parser<'_> {
             Some(b't') => self.parse_keyword("true", Json::Bool(true)),
             Some(b'f') => self.parse_keyword("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.parse_string()?)),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(b'[' | b'{') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.error(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let value = if self.peek() == Some(b'[') {
+                    self.parse_array()
+                } else {
+                    self.parse_object()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'-' | b'0'..=b'9') => self.parse_number(),
             _ => Err(self.error("expected a JSON value")),
         }
@@ -395,6 +415,29 @@ mod tests {
     #[test]
     fn non_finite_numbers_encode_as_null() {
         assert_eq!(Json::Num(f64::NAN).to_pretty(), "null\n");
+    }
+
+    fn nested_arrays(depth: usize) -> String {
+        "[".repeat(depth) + &"]".repeat(depth)
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let err = Json::parse(&"[".repeat(200_000)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert!(Json::parse(&nested_arrays(MAX_DEPTH + 1)).is_err());
+        assert!(Json::parse(&format!("{{\"k\":{}}}", nested_arrays(MAX_DEPTH))).is_err());
+    }
+
+    #[test]
+    fn nesting_up_to_the_limit_parses() {
+        let doc = Json::parse(&nested_arrays(200)).unwrap();
+        let mut node = &doc;
+        for _ in 1..200 {
+            node = &node.as_arr().unwrap()[0];
+        }
+        assert_eq!(node, &Json::Arr(vec![]));
+        assert!(Json::parse(&nested_arrays(MAX_DEPTH)).is_ok());
     }
 
     #[test]

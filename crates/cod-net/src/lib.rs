@@ -25,7 +25,8 @@
 //! // Endpoints created by `attach` listen on the default CB port, `Port(1)`.
 //! a.send(Destination::Broadcast(Port(1)), b"hello cluster").unwrap();
 //! SimLan::advance(&lan, cod_net::Micros::from_millis(10));
-//! let received = b.poll().unwrap();
+//! let mut received = Vec::new();
+//! b.poll(&mut received).unwrap();
 //! assert_eq!(received.len(), 1);
 //! assert_eq!(&received[0].payload[..], b"hello cluster");
 //! ```

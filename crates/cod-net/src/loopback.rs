@@ -109,8 +109,9 @@ impl Transport for LoopbackTransport {
         self.hub.send_from(self.addr, dst, payload)
     }
 
-    fn poll(&mut self) -> Result<Vec<Datagram>, NetError> {
-        Ok(self.rx.try_iter().collect())
+    fn poll(&mut self, out: &mut Vec<Datagram>) -> Result<(), NetError> {
+        out.extend(self.rx.try_iter());
+        Ok(())
     }
 
     fn local_addr(&self) -> Addr {
@@ -127,6 +128,7 @@ impl Drop for LoopbackTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::polled;
 
     #[test]
     fn unicast_and_broadcast_deliver_immediately() {
@@ -138,12 +140,12 @@ mod tests {
         a.send(Destination::Unicast(b.local_addr()), b"direct").unwrap();
         a.send(Destination::Broadcast(Port(1)), b"all").unwrap();
 
-        let b_msgs = b.poll().unwrap();
+        let b_msgs = polled(&mut b);
         assert_eq!(b_msgs.len(), 2);
-        let c_msgs = c.poll().unwrap();
+        let c_msgs = polled(&mut c);
         assert_eq!(c_msgs.len(), 1);
         assert_eq!(&c_msgs[0].payload[..], b"all");
-        assert!(a.poll().unwrap().is_empty());
+        assert!(polled(&mut a).is_empty());
     }
 
     #[test]
@@ -180,7 +182,7 @@ mod tests {
             a.send(Destination::Unicast(b_addr), b"threaded").unwrap();
         });
         handle.join().unwrap();
-        let got = b.poll().unwrap();
+        let got = polled(&mut b);
         assert_eq!(got.len(), 1);
     }
 

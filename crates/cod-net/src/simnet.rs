@@ -63,6 +63,8 @@ pub struct SimLan {
     inboxes: BTreeMap<Addr, VecDeque<Datagram>>,
     node_names: BTreeMap<NodeId, String>,
     stats: LanStats,
+    /// Receivers of the datagram being sent, reused by every send.
+    targets: Vec<Addr>,
 }
 
 impl SimLan {
@@ -80,6 +82,7 @@ impl SimLan {
             inboxes: BTreeMap::new(),
             node_names: BTreeMap::new(),
             stats: LanStats::default(),
+            targets: Vec::new(),
         }
     }
 
@@ -217,22 +220,24 @@ impl SimLan {
         if payload.len() > self.config.mtu {
             return Err(NetError::PayloadTooLarge { size: payload.len(), max: self.config.mtu });
         }
-        let payload = Bytes::copy_from_slice(payload);
-        let targets: Vec<Addr> = match dst {
-            Destination::Unicast(addr) => {
-                if !self.inboxes.contains_key(&addr) {
-                    return Err(NetError::UnknownEndpoint(addr));
-                }
-                vec![addr]
+        if let Destination::Unicast(addr) = dst {
+            if !self.inboxes.contains_key(&addr) {
+                return Err(NetError::UnknownEndpoint(addr));
             }
+        }
+        let mut targets = std::mem::take(&mut self.targets);
+        targets.clear();
+        match dst {
+            Destination::Unicast(addr) => targets.push(addr),
             Destination::Broadcast(port) => {
-                self.inboxes.keys().copied().filter(|a| a.port == port && *a != src).collect()
+                targets.extend(self.inboxes.keys().copied().filter(|a| a.port == port && *a != src))
             }
-        };
+        }
+        let payload = Bytes::copy_from_slice(payload);
         self.stats.record_send(src.node, payload.len());
         let now = self.clock.now();
         let inject = !self.faults.is_none();
-        for to in targets {
+        for &to in &targets {
             let dgram = Datagram { src, dst, payload: payload.clone(), delivered_at: Micros::ZERO };
             if inject && self.faults.partitioned(now, src.node, to.node) {
                 self.stats.record_partition_drop();
@@ -287,13 +292,17 @@ impl SimLan {
             self.next_seq += 1;
             self.queue.push(Reverse(ScheduledDelivery { at: now + delay, seq, to, dgram }));
         }
+        self.targets = targets;
         Ok(())
     }
 
-    fn poll_endpoint(&mut self, addr: Addr) -> Result<Vec<Datagram>, NetError> {
+    fn poll_endpoint(&mut self, addr: Addr, out: &mut Vec<Datagram>) -> Result<(), NetError> {
         match self.inboxes.get_mut(&addr) {
             None => Err(NetError::UnknownEndpoint(addr)),
-            Some(inbox) => Ok(inbox.drain(..).collect()),
+            Some(inbox) => {
+                out.extend(inbox.drain(..));
+                Ok(())
+            }
         }
     }
 }
@@ -317,8 +326,8 @@ impl Transport for SimTransport {
         self.lan.lock().send_from(self.addr, dst, payload)
     }
 
-    fn poll(&mut self) -> Result<Vec<Datagram>, NetError> {
-        self.lan.lock().poll_endpoint(self.addr)
+    fn poll(&mut self, out: &mut Vec<Datagram>) -> Result<(), NetError> {
+        self.lan.lock().poll_endpoint(self.addr, out)
     }
 
     fn local_addr(&self) -> Addr {
@@ -333,6 +342,7 @@ impl Transport for SimTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::polled;
 
     fn lan_pair(config: LanConfig) -> (SharedLan, SimTransport, SimTransport) {
         let lan = SimLan::shared(config);
@@ -345,9 +355,9 @@ mod tests {
     fn unicast_delivery_after_advance() {
         let (lan, mut a, mut b) = lan_pair(LanConfig::fast_ethernet(1));
         a.send(Destination::Unicast(b.local_addr()), b"ping").unwrap();
-        assert!(b.poll().unwrap().is_empty(), "nothing delivered before time advances");
+        assert!(polled(&mut b).is_empty(), "nothing delivered before time advances");
         SimLan::advance(&lan, Micros::from_millis(5));
-        let got = b.poll().unwrap();
+        let got = polled(&mut b);
         assert_eq!(got.len(), 1);
         assert_eq!(&got[0].payload[..], b"ping");
         assert_eq!(got[0].src, a.local_addr());
@@ -361,9 +371,9 @@ mod tests {
         let mut c = SimLan::attach(&lan, "c");
         a.send(Destination::Broadcast(DEFAULT_PORT), b"hello").unwrap();
         SimLan::run_until_idle(&lan);
-        assert_eq!(a.poll().unwrap().len(), 0);
-        assert_eq!(b.poll().unwrap().len(), 1);
-        assert_eq!(c.poll().unwrap().len(), 1);
+        assert_eq!(polled(&mut a).len(), 0);
+        assert_eq!(polled(&mut b).len(), 1);
+        assert_eq!(polled(&mut c).len(), 1);
     }
 
     #[test]
@@ -398,7 +408,7 @@ mod tests {
             a.send(Destination::Unicast(b.local_addr()), &[i]).unwrap();
         }
         SimLan::run_until_idle(&lan);
-        let got = b.poll().unwrap();
+        let got = polled(&mut b);
         let order: Vec<u8> = got.iter().map(|d| d.payload[0]).collect();
         assert_eq!(order, (0..10).collect::<Vec<u8>>());
     }
@@ -411,7 +421,7 @@ mod tests {
                 a.send(Destination::Unicast(b.local_addr()), &[i]).unwrap();
             }
             SimLan::run_until_idle(&lan);
-            b.poll().unwrap().iter().map(|d| (d.delivered_at, d.payload[0])).collect::<Vec<_>>()
+            polled(&mut b).iter().map(|d| (d.delivered_at, d.payload[0])).collect::<Vec<_>>()
         };
         assert_eq!(run(42), run(42));
         assert_ne!(run(42), run(43));
@@ -425,7 +435,7 @@ mod tests {
             a.send(Destination::Unicast(b.local_addr()), b"d").unwrap();
         }
         SimLan::run_until_idle(&lan);
-        let delivered = b.poll().unwrap().len();
+        let delivered = polled(&mut b).len();
         assert!(delivered < 160 && delivered > 40, "delivered = {delivered}");
         let stats = SimLan::stats(&lan);
         assert_eq!(stats.datagrams_dropped + delivered as u64, 200);
@@ -436,7 +446,7 @@ mod tests {
         let (lan, mut a, mut b) = lan_pair(LanConfig::fast_ethernet(1));
         a.send(Destination::Unicast(b.local_addr()), &[0u8; 128]).unwrap();
         SimLan::run_until_idle(&lan);
-        b.poll().unwrap();
+        polled(&mut b);
         let stats = SimLan::stats(&lan);
         assert_eq!(stats.bytes_sent, 128);
         assert_eq!(stats.per_node[&b.local_addr().node].bytes_received, 128);
@@ -450,7 +460,7 @@ mod tests {
         let mut b = SimLan::attach(&lan, "b");
         b.send(Destination::Unicast(extra.local_addr()), b"to-port-9").unwrap();
         SimLan::run_until_idle(&lan);
-        assert_eq!(extra.poll().unwrap().len(), 1);
+        assert_eq!(polled(&mut extra).len(), 1);
         assert_eq!(SimLan::endpoint_count(&lan), 3);
     }
 
@@ -469,7 +479,7 @@ mod tests {
             a.send(Destination::Unicast(b.local_addr()), b"d").unwrap();
         }
         SimLan::run_until_idle(&lan);
-        let delivered = b.poll().unwrap().len();
+        let delivered = polled(&mut b).len();
         let stats = SimLan::stats(&lan);
         assert!(stats.fault_drops > 40 && stats.fault_drops < 160, "{}", stats.fault_drops);
         assert_eq!(stats.fault_drops, stats.datagrams_dropped, "link itself is lossless");
@@ -484,7 +494,7 @@ mod tests {
             a.send(Destination::Unicast(b.local_addr()), b"d").unwrap();
         }
         SimLan::run_until_idle(&lan);
-        assert_eq!(b.poll().unwrap().len(), 20);
+        assert_eq!(polled(&mut b).len(), 20);
         assert_eq!(SimLan::stats(&lan).fault_duplicates, 10);
     }
 
@@ -505,7 +515,7 @@ mod tests {
         SimLan::set_fault_plan(&lan, FaultPlan::none());
         a.send(Destination::Unicast(b.local_addr()), &[1u8]).unwrap();
         SimLan::run_until_idle(&lan);
-        let order: Vec<u8> = b.poll().unwrap().iter().map(|d| d.payload[0]).collect();
+        let order: Vec<u8> = polled(&mut b).iter().map(|d| d.payload[0]).collect();
         assert_eq!(order, vec![1, 0]);
     }
 
@@ -519,12 +529,12 @@ mod tests {
         );
         a.send(Destination::Unicast(b.local_addr()), b"lost").unwrap();
         SimLan::advance(&lan, Micros::from_millis(200));
-        assert!(b.poll().unwrap().is_empty());
+        assert!(polled(&mut b).is_empty());
         assert_eq!(SimLan::stats(&lan).partition_drops, 1);
         // After the window closes traffic flows again.
         a.send(Destination::Unicast(b.local_addr()), b"heals").unwrap();
         SimLan::run_until_idle(&lan);
-        assert_eq!(b.poll().unwrap().len(), 1);
+        assert_eq!(polled(&mut b).len(), 1);
     }
 
     #[test]
@@ -537,9 +547,9 @@ mod tests {
         );
         a.send(Destination::Unicast(b.local_addr()), b"slow").unwrap();
         SimLan::advance(&lan, Micros::from_millis(4));
-        assert!(b.poll().unwrap().is_empty(), "spike must delay the ideal-link datagram");
+        assert!(polled(&mut b).is_empty(), "spike must delay the ideal-link datagram");
         SimLan::advance(&lan, Micros::from_millis(2));
-        assert_eq!(b.poll().unwrap().len(), 1);
+        assert_eq!(polled(&mut b).len(), 1);
     }
 
     #[test]
@@ -551,7 +561,7 @@ mod tests {
                 a.send(Destination::Unicast(b.local_addr()), b"x").unwrap();
             }
             SimLan::run_until_idle(&lan);
-            b.poll().unwrap().len()
+            polled(&mut b).len()
         };
         // Same fault seed, different jitter seed: identical drop pattern (the
         // fault RNG never interleaves with the link RNG).
@@ -570,7 +580,7 @@ mod tests {
                 a.send(Destination::Unicast(b.local_addr()), b"x").unwrap();
             }
             SimLan::run_until_idle(&lan);
-            b.poll().unwrap();
+            polled(&mut b);
             SimLan::stats(&lan)
         };
         let first = run(1);

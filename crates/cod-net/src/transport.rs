@@ -19,13 +19,13 @@ pub trait Transport: Send {
     /// destination is unknown, or the underlying medium failed.
     fn send(&mut self, dst: Destination, payload: &[u8]) -> Result<(), NetError>;
 
-    /// Drains every datagram that has been delivered to this endpoint since
-    /// the previous call.
+    /// Appends every datagram delivered to this endpoint since the previous
+    /// call to `out`, so a receiver can reuse one buffer from poll to poll.
     ///
     /// # Errors
     ///
     /// Returns an error if the transport has been disconnected from its medium.
-    fn poll(&mut self) -> Result<Vec<Datagram>, NetError>;
+    fn poll(&mut self, out: &mut Vec<Datagram>) -> Result<(), NetError>;
 
     /// The address of this endpoint on the cluster network.
     fn local_addr(&self) -> Addr;
@@ -34,6 +34,14 @@ pub trait Transport: Send {
     fn mtu(&self) -> usize {
         65_507
     }
+}
+
+/// Polls `t` once and returns what it delivered.
+#[cfg(test)]
+pub(crate) fn polled(t: &mut impl Transport) -> Vec<Datagram> {
+    let mut out = Vec::new();
+    t.poll(&mut out).expect("poll");
+    out
 }
 
 #[cfg(test)]

@@ -140,8 +140,7 @@ impl Transport for UdpTransport {
         Ok(())
     }
 
-    fn poll(&mut self) -> Result<Vec<Datagram>, NetError> {
-        let mut out = Vec::new();
+    fn poll(&mut self, out: &mut Vec<Datagram>) -> Result<(), NetError> {
         let mut buf = [0u8; UDP_MTU + 4];
         loop {
             match self.socket.recv_from(&mut buf) {
@@ -159,7 +158,7 @@ impl Transport for UdpTransport {
                 Err(e) => return Err(NetError::Io(e)),
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     fn local_addr(&self) -> Addr {
@@ -174,13 +173,14 @@ impl Transport for UdpTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::polled;
     use std::time::{Duration, Instant};
 
     fn wait_for<T: Transport>(t: &mut T, n: usize) -> Vec<Datagram> {
         let deadline = Instant::now() + Duration::from_secs(2);
         let mut got = Vec::new();
         while got.len() < n && Instant::now() < deadline {
-            got.extend(t.poll().unwrap());
+            t.poll(&mut got).unwrap();
             std::thread::sleep(Duration::from_millis(1));
         }
         got
@@ -211,7 +211,7 @@ mod tests {
         assert_eq!(wait_for(&mut b, 1).len(), 1);
         assert_eq!(wait_for(&mut c, 1).len(), 1);
         std::thread::sleep(Duration::from_millis(20));
-        assert!(other_port.poll().unwrap().is_empty());
+        assert!(polled(&mut other_port).is_empty());
     }
 
     #[test]

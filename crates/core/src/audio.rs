@@ -15,7 +15,6 @@ use crate::telemetry::SharedTelemetry;
 
 /// The audio Logical Process.
 pub struct AudioLp {
-    registry: ClassRegistry,
     fom: CraneFom,
     telemetry: SharedTelemetry,
     mixer: Mixer,
@@ -26,11 +25,12 @@ pub struct AudioLp {
 
 impl AudioLp {
     /// Creates the audio module.
-    pub fn new(registry: ClassRegistry, fom: CraneFom, telemetry: SharedTelemetry) -> AudioLp {
+    ///
+    /// `_registry` is not read: `fom` holds every attribute id the module uses.
+    pub fn new(_registry: ClassRegistry, fom: CraneFom, telemetry: SharedTelemetry) -> AudioLp {
         let mut mixer = Mixer::new(11_025);
         mixer.add_background_noise();
         AudioLp {
-            registry,
             fom,
             telemetry,
             mixer,
@@ -62,25 +62,21 @@ impl LogicalProcess for AudioLp {
     fn step(&mut self, cb: &mut dyn CbApi, dt: f64) -> Result<(), CbError> {
         for reflection in cb.reflections() {
             if reflection.class == self.fom.crane_state {
-                self.crane =
-                    CraneStateMsg::from_values(&self.registry, &self.fom, &reflection.values);
+                self.crane = CraneStateMsg::from_values(&self.fom, &reflection.values);
             } else if reflection.class == self.fom.operator_input {
-                self.input =
-                    OperatorInputMsg::from_values(&self.registry, &self.fom, &reflection.values);
+                self.input = OperatorInputMsg::from_values(&self.fom, &reflection.values);
             }
         }
         for interaction in cb.interactions() {
             if interaction.class == self.fom.collision {
-                let collision =
-                    CollisionMsg::from_values(&self.registry, &self.fom, &interaction.parameters);
+                let collision = CollisionMsg::from_values(&self.fom, &interaction.parameters);
                 self.collisions_heard += 1;
                 self.mixer.handle_event(SoundEvent::Collision {
                     location: collision.location,
                     impulse: collision.impulse,
                 });
             } else if interaction.class == self.fom.alarm {
-                let alarm =
-                    AlarmMsg::from_values(&self.registry, &self.fom, &interaction.parameters);
+                let alarm = AlarmMsg::from_values(&self.fom, &interaction.parameters);
                 self.mixer.handle_event(SoundEvent::Alarm { active: alarm.active });
             }
         }

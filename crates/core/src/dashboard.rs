@@ -82,7 +82,6 @@ impl InstrumentPanel {
 
 /// The dashboard Logical Process.
 pub struct DashboardLp {
-    registry: ClassRegistry,
     fom: CraneFom,
     operator: Box<dyn Operator>,
     observation: Observation,
@@ -94,14 +93,15 @@ pub struct DashboardLp {
 
 impl DashboardLp {
     /// Creates the dashboard module with an operator policy at the controls.
+    ///
+    /// `_registry` is not read: `fom` holds every attribute id the module uses.
     pub fn new(
-        registry: ClassRegistry,
+        _registry: ClassRegistry,
         fom: CraneFom,
         operator: Box<dyn Operator>,
         telemetry: SharedTelemetry,
     ) -> DashboardLp {
         DashboardLp {
-            registry,
             fom,
             operator,
             observation: Observation::default(),
@@ -137,21 +137,18 @@ impl LogicalProcess for DashboardLp {
         // Reflect the world state onto the operator's observation.
         for reflection in cb.reflections() {
             if reflection.class == self.fom.crane_state {
-                self.observation.crane =
-                    CraneStateMsg::from_values(&self.registry, &self.fom, &reflection.values);
+                self.observation.crane = CraneStateMsg::from_values(&self.fom, &reflection.values);
             } else if reflection.class == self.fom.hook_state {
-                self.observation.hook =
-                    HookStateMsg::from_values(&self.registry, &self.fom, &reflection.values);
+                self.observation.hook = HookStateMsg::from_values(&self.fom, &reflection.values);
             } else if reflection.class == self.fom.scenario_state {
                 self.observation.scenario =
-                    ScenarioStateMsg::from_values(&self.registry, &self.fom, &reflection.values);
+                    ScenarioStateMsg::from_values(&self.fom, &reflection.values);
             }
         }
         // Instructor fault injections drive the meters directly (Figure 6).
         for interaction in cb.interactions() {
             if interaction.class == self.fom.fault {
-                let fault =
-                    FaultMsg::from_values(&self.registry, &self.fom, &interaction.parameters);
+                let fault = FaultMsg::from_values(&self.fom, &interaction.parameters);
                 self.panel.inject_fault(&fault);
             }
         }
@@ -161,7 +158,7 @@ impl LogicalProcess for DashboardLp {
         self.last_input = input;
         cb.update_attributes(
             self.input_object.expect("init registered the input object"),
-            input.to_values(&self.registry, &self.fom),
+            input.to_values(&self.fom),
         )?;
 
         // Drive the instrument needles and mirror them into telemetry (the

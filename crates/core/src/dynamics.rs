@@ -31,7 +31,6 @@ const COLLISION_COOLDOWN: f64 = 2.0;
 
 /// The dynamics model Logical Process.
 pub struct DynamicsLp {
-    registry: ClassRegistry,
     fom: CraneFom,
     telemetry: SharedTelemetry,
 
@@ -59,8 +58,10 @@ pub struct DynamicsLp {
 
 impl DynamicsLp {
     /// Creates the dynamics module for the standard training world.
+    ///
+    /// `_registry` is not read: `fom` holds every attribute id the module uses.
     pub fn new(
-        registry: ClassRegistry,
+        _registry: ClassRegistry,
         fom: CraneFom,
         cargo_mass: f64,
         telemetry: SharedTelemetry,
@@ -76,7 +77,6 @@ impl DynamicsLp {
         let mut collision = CollisionWorld::from_obstacles(&world.obstacles);
         collision.build_grid(12.0);
         DynamicsLp {
-            registry,
             fom,
             telemetry,
             vehicle,
@@ -166,8 +166,7 @@ impl LogicalProcess for DynamicsLp {
         // 1. Pull the freshest operator input.
         for reflection in cb.reflections() {
             if reflection.class == self.fom.operator_input {
-                self.input =
-                    OperatorInputMsg::from_values(&self.registry, &self.fom, &reflection.values);
+                self.input = OperatorInputMsg::from_values(&self.fom, &reflection.values);
             }
         }
 
@@ -222,7 +221,7 @@ impl LogicalProcess for DynamicsLp {
                     obstacle: contact.name.clone(),
                     scored: contact.scored,
                 };
-                cb.send_interaction(self.fom.collision, msg.to_values(&self.registry, &self.fom))?;
+                cb.send_interaction(self.fom.collision, msg.to_values(&self.fom))?;
             }
         }
 
@@ -231,11 +230,11 @@ impl LogicalProcess for DynamicsLp {
         let hook_msg = self.hook_state_msg(boom_tip);
         cb.update_attributes(
             self.crane_object.expect("init registered the crane object"),
-            crane_msg.to_values(&self.registry, &self.fom),
+            crane_msg.to_values(&self.fom),
         )?;
         cb.update_attributes(
             self.hook_object.expect("init registered the hook object"),
-            hook_msg.to_values(&self.registry, &self.fom),
+            hook_msg.to_values(&self.fom),
         )?;
 
         // 7. Telemetry.

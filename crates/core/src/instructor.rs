@@ -45,7 +45,6 @@ const COLLISION_ALARM_HOLD: f64 = 2.0;
 
 /// The instructor monitor Logical Process.
 pub struct InstructorLp {
-    registry: ClassRegistry,
     fom: CraneFom,
     telemetry: SharedTelemetry,
     injector: FaultInjector,
@@ -59,15 +58,16 @@ pub struct InstructorLp {
 
 impl InstructorLp {
     /// Creates the instructor module and the fault-injection handle for its console.
+    ///
+    /// `_registry` is not read: `fom` holds every attribute id the module uses.
     pub fn new(
-        registry: ClassRegistry,
+        _registry: ClassRegistry,
         fom: CraneFom,
         telemetry: SharedTelemetry,
     ) -> (InstructorLp, FaultInjector) {
         let injector = FaultInjector::default();
         (
             InstructorLp {
-                registry,
                 fom,
                 telemetry,
                 injector: injector.clone(),
@@ -130,21 +130,17 @@ impl LogicalProcess for InstructorLp {
     fn step(&mut self, cb: &mut dyn CbApi, dt: f64) -> Result<(), CbError> {
         for reflection in cb.reflections() {
             if reflection.class == self.fom.crane_state {
-                self.crane =
-                    CraneStateMsg::from_values(&self.registry, &self.fom, &reflection.values);
+                self.crane = CraneStateMsg::from_values(&self.fom, &reflection.values);
             } else if reflection.class == self.fom.hook_state {
-                self.hook =
-                    HookStateMsg::from_values(&self.registry, &self.fom, &reflection.values);
+                self.hook = HookStateMsg::from_values(&self.fom, &reflection.values);
             } else if reflection.class == self.fom.scenario_state {
-                self.scenario =
-                    ScenarioStateMsg::from_values(&self.registry, &self.fom, &reflection.values);
+                self.scenario = ScenarioStateMsg::from_values(&self.fom, &reflection.values);
             }
         }
         self.collision_alarm_timer = (self.collision_alarm_timer - dt).max(0.0);
         for interaction in cb.interactions() {
             if interaction.class == self.fom.collision {
-                let collision =
-                    CollisionMsg::from_values(&self.registry, &self.fom, &interaction.parameters);
+                let collision = CollisionMsg::from_values(&self.fom, &interaction.parameters);
                 if collision.scored {
                     self.collision_alarm_timer = COLLISION_ALARM_HOLD;
                 }
@@ -164,7 +160,7 @@ impl LogicalProcess for InstructorLp {
                     _ => "alarm",
                 };
                 let alarm = AlarmMsg { code: *code, active: *active, message: message.to_owned() };
-                cb.send_interaction(self.fom.alarm, alarm.to_values(&self.registry, &self.fom))?;
+                cb.send_interaction(self.fom.alarm, alarm.to_values(&self.fom))?;
                 if *active {
                     let code = *code;
                     self.telemetry.update(|t| t.alarm_events.push(code));
@@ -175,7 +171,7 @@ impl LogicalProcess for InstructorLp {
 
         // Forward queued instructor fault injections to the dashboard.
         for fault in self.injector.drain() {
-            cb.send_interaction(self.fom.fault, fault.to_values(&self.registry, &self.fom))?;
+            cb.send_interaction(self.fom.fault, fault.to_values(&self.fom))?;
         }
 
         // Publish the two instructor windows into telemetry.

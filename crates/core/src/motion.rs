@@ -23,7 +23,6 @@ const MOTION_SEED_SALT: u64 = 0x5eed;
 
 /// The motion-platform controller Logical Process.
 pub struct MotionPlatformLp {
-    registry: ClassRegistry,
     fom: CraneFom,
     telemetry: SharedTelemetry,
     visual_fps: f64,
@@ -38,15 +37,16 @@ impl MotionPlatformLp {
     /// Creates the module, synchronized to `visual_fps` frames per second.
     /// `seed` is the session seed; the module salts it before seeding its
     /// vibration model.
+    ///
+    /// `_registry` is not read: `fom` holds every attribute id the module uses.
     pub fn new(
-        registry: ClassRegistry,
+        _registry: ClassRegistry,
         fom: CraneFom,
         visual_fps: f64,
         seed: u64,
         telemetry: SharedTelemetry,
     ) -> MotionPlatformLp {
         MotionPlatformLp {
-            registry,
             fom,
             telemetry,
             visual_fps,
@@ -76,8 +76,7 @@ impl LogicalProcess for MotionPlatformLp {
     fn step(&mut self, cb: &mut dyn CbApi, dt: f64) -> Result<(), CbError> {
         for reflection in cb.reflections() {
             if reflection.class == self.fom.crane_state {
-                self.crane =
-                    CraneStateMsg::from_values(&self.registry, &self.fom, &reflection.values);
+                self.crane = CraneStateMsg::from_values(&self.fom, &reflection.values);
             }
         }
 

@@ -23,7 +23,6 @@ pub const TIME_LIMIT: f64 = 900.0;
 
 /// The scenario / scoring Logical Process.
 pub struct ScenarioLp {
-    registry: ClassRegistry,
     fom: CraneFom,
     course: Course,
     telemetry: SharedTelemetry,
@@ -39,9 +38,10 @@ pub struct ScenarioLp {
 
 impl ScenarioLp {
     /// Creates the scenario module for the licensing-exam course.
-    pub fn new(registry: ClassRegistry, fom: CraneFom, telemetry: SharedTelemetry) -> ScenarioLp {
+    ///
+    /// `_registry` is not read: `fom` holds every attribute id the module uses.
+    pub fn new(_registry: ClassRegistry, fom: CraneFom, telemetry: SharedTelemetry) -> ScenarioLp {
         ScenarioLp {
-            registry,
             fom,
             course: Course::licensing_exam(),
             telemetry,
@@ -144,17 +144,14 @@ impl LogicalProcess for ScenarioLp {
         self.elapsed += dt;
         for reflection in cb.reflections() {
             if reflection.class == self.fom.crane_state {
-                self.crane =
-                    CraneStateMsg::from_values(&self.registry, &self.fom, &reflection.values);
+                self.crane = CraneStateMsg::from_values(&self.fom, &reflection.values);
             } else if reflection.class == self.fom.hook_state {
-                self.hook =
-                    HookStateMsg::from_values(&self.registry, &self.fom, &reflection.values);
+                self.hook = HookStateMsg::from_values(&self.fom, &reflection.values);
             }
         }
         for interaction in cb.interactions() {
             if interaction.class == self.fom.collision {
-                let collision =
-                    CollisionMsg::from_values(&self.registry, &self.fom, &interaction.parameters);
+                let collision = CollisionMsg::from_values(&self.fom, &interaction.parameters);
                 if collision.scored {
                     self.bar_hits += 1;
                     self.score = (self.score - BAR_COLLISION_PENALTY).max(0.0);
@@ -167,7 +164,7 @@ impl LogicalProcess for ScenarioLp {
         let message = self.message();
         cb.update_attributes(
             self.state_object.expect("init registered the scenario object"),
-            message.to_values(&self.registry, &self.fom),
+            message.to_values(&self.fom),
         )?;
         self.telemetry.update(|t| t.scenario = message.clone());
         Ok(())
